@@ -26,6 +26,7 @@ from .bayes import (
     full_past_info_gain_from_count,
     hindsight_empirical_surprise,
     marginal_surprise,
+    marginal_surprise_from_count,
     ntic_ig_divergence_witness,
     one_step_info_gain,
     one_step_info_gain_from_count,
@@ -41,6 +42,7 @@ from .closure import (
     one_step_ntic,
     one_step_pointwise_ntic,
     pointwise_ntic,
+    pointwise_ntic_from_count,
     symbol_entropy,
 )
 from .conformance import ConformanceRecord, ConformanceResult, run_conformance
@@ -127,6 +129,7 @@ __all__ = [
     "log_count_cardinality",
     "log_gamma",
     "marginal_surprise",
+    "marginal_surprise_from_count",
     "ntic",
     "ntic_ig_divergence_witness",
     "one_step_info_gain",
@@ -140,6 +143,7 @@ __all__ = [
     "oracle_pointwise_ntic",
     "oracle_transfer_entropy",
     "pointwise_ntic",
+    "pointwise_ntic_from_count",
     "posterior_predictive",
     "run_conformance",
     "sample_trajectory",

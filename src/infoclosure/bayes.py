@@ -89,15 +89,6 @@ class InfoGainReport:
     surprise_term: float
     expected_hindsight_term: float
 
-    def to_json_dict(self, units: str = "nats") -> dict:
-        scale = 1.0 if units == "nats" else 1.0 / math.log(2.0)
-        return {
-            "value": self.value * scale,
-            "surprise_term": self.surprise_term * scale,
-            "expected_hindsight_term": self.expected_hindsight_term * scale,
-            "units": units,
-        }
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -133,6 +124,14 @@ def posterior_predictive(xi: Hyperparameter, x: int) -> float:
     return float(xi.alpha[x] / xi.total)
 
 
+def marginal_surprise_from_count(xi0: Hyperparameter, c: CountVector, x: int) -> float:
+    """Negative log posterior-predictive probability of x after counts c.
+
+    Count-level core of ``marginal_surprise``: -log pred(xi0 + c, x).
+    """
+    return -math.log(posterior_predictive(add_counts(xi0, c), x))
+
+
 def marginal_surprise(xi0: Hyperparameter, traj: Sequence[int], x: int) -> float:
     """Negative log posterior-predictive probability of x after seeing traj.
 
@@ -140,8 +139,7 @@ def marginal_surprise(xi0: Hyperparameter, traj: Sequence[int], x: int) -> float
     marginal surprise.
     """
     traj = validate_trajectory(traj, xi0.size)
-    post = add_counts(xi0, count(traj, xi0.size)) if traj else xi0
-    return -math.log(posterior_predictive(post, x))
+    return marginal_surprise_from_count(xi0, count(traj, xi0.size), x)
 
 
 def hindsight_empirical_surprise(traj: Sequence[int]) -> float:

@@ -31,24 +31,13 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .bayes import (
-    full_past_info_gain,
-    hindsight_empirical_surprise,
-    marginal_surprise,
+    full_past_info_gain_from_count,
+    marginal_surprise_from_count,
     ntic_ig_divergence_witness,
-    one_step_info_gain,
     one_step_info_gain_from_count,
-    posterior_predictive,
 )
-from .closure import (
-    count_last_distribution,
-    ntic,
-    one_step_ntic,
-    one_step_pointwise_ntic,
-    pointwise_ntic,
-)
+from .closure import count_last_distribution, pointwise_ntic_from_count, symbol_entropy
 from .conformance import run_conformance
 from .errors import (
     DomainError,
@@ -60,9 +49,11 @@ from .errors import (
 )
 from .process import (
     CategoricalParam,
+    CountVector,
     Hyperparameter,
-    add_counts,
+    count,
     count_space_size,
+    sample_trajectories,
 )
 
 EXIT_OK = 0
@@ -252,13 +243,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _to_units(value: float, units: str) -> float:
+    """The one place a value in nats is rescaled for output."""
+    return _normalize(value * _INV_LN2 if units == "bits" else value)
+
+
 def _scale_row(row: dict, units: str) -> dict:
-    if units == "nats":
-        return {key: (_normalize(v) if isinstance(v, float) else v) for key, v in row.items()}
-    scaled = {}
-    for key, v in row.items():
-        scaled[key] = _normalize(v * _INV_LN2) if isinstance(v, float) else v
-    return scaled
+    return {key: (_to_units(v, units) if isinstance(v, float) else v) for key, v in row.items()}
 
 
 def _render(command: str, config: RunConfig, columns: Sequence[str], rows: list[dict]) -> str:
@@ -293,37 +284,23 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _curve_exact_row(config: RunConfig, t: int) -> dict:
-    phi = config.phi
-    row: dict = {"t": t}
-    needs_groups = "info_gain" in config.quantities or "surprise" in config.quantities
-    if "ntic" in config.quantities:
-        row["ntic"] = ntic(phi, t).value
-    if "one_step_ntic" in config.quantities:
-        row["one_step_ntic"] = one_step_ntic(phi, t)
-    if needs_groups:
-        xi0 = config.xi0
-        gain_terms = []
-        surprise_terms = []
-        for c, x, p in count_last_distribution(phi, t):
-            if "info_gain" in config.quantities:
-                gain_terms.append(p * one_step_info_gain_from_count(xi0, c, x).value)
-            if "surprise" in config.quantities:
-                post = add_counts(xi0, c)
-                surprise_terms.append(p * -math.log(posterior_predictive(post, x)))
-        if "info_gain" in config.quantities:
-            row["info_gain"] = math.fsum(gain_terms)
-        if "surprise" in config.quantities:
-            row["surprise"] = math.fsum(surprise_terms)
+    """One pass over count space collects a term per requested quantity."""
+    xi0 = config.xi0
+    terms: dict[str, list[float]] = {q: [] for q in CURVE_QUANTITIES if q in config.quantities}
+    for c, x, p, log_pc in count_last_distribution(config.phi, t):
+        if "ntic" in terms:
+            terms["ntic"].append(-p * log_pc)
+        if "one_step_ntic" in terms:
+            terms["one_step_ntic"].append(p * math.log(c.counts[x] / t))
+        if "info_gain" in terms:
+            terms["info_gain"].append(p * one_step_info_gain_from_count(xi0, c, x).value)
+        if "surprise" in terms:
+            terms["surprise"].append(p * marginal_surprise_from_count(xi0, c, x))
+    row: dict = {"t": t, **{q: math.fsum(values) for q, values in terms.items()}}
+    if "ntic" in row:
+        row["ntic"] -= symbol_entropy(config.phi)  # count entropy minus symbol entropy
     row["method"] = "exact"
     return row
-
-
-def _sample_batch(phi: CategoricalParam, t: int, samples: int, seed_key: list[int]) -> np.ndarray:
-    rng = np.random.default_rng(seed_key)
-    u = rng.random((samples, t))
-    cum = np.cumsum(phi.as_array())
-    symbols = np.searchsorted(cum, u, side="right")
-    return np.minimum(symbols, phi.support[-1])
 
 
 def _curve_mc_row(config: RunConfig, t: int) -> dict:
@@ -333,19 +310,19 @@ def _curve_mc_row(config: RunConfig, t: int) -> dict:
             f"count space at t={t} exceeds the exact-mode cap of {EXACT_MODE_CAP}; "
             f"Monte Carlo mode needs --samples N (got {config.samples})"
         )
-    batch = _sample_batch(phi, t, config.samples, [config.seed, t])
+    batch = sample_trajectories(phi, t, config.samples, [config.seed, t])
     row: dict = {"t": t}
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
     for sample in batch.tolist():
-        traj = tuple(sample)
+        c, x = count(sample, phi.size), sample[-1]
         if "ntic" in values:
-            values["ntic"].append(pointwise_ntic(phi, traj))
+            values["ntic"].append(pointwise_ntic_from_count(phi, c, x))
         if "one_step_ntic" in values:
-            values["one_step_ntic"].append(one_step_pointwise_ntic(traj))
+            values["one_step_ntic"].append(math.log(c.counts[x] / t))
         if "info_gain" in values:
-            values["info_gain"].append(one_step_info_gain(config.xi0, traj).value)
+            values["info_gain"].append(one_step_info_gain_from_count(config.xi0, c, x).value)
         if "surprise" in values:
-            values["surprise"].append(marginal_surprise(config.xi0, traj, traj[-1]))
+            values["surprise"].append(marginal_surprise_from_count(config.xi0, c, x))
     for quantity in config.quantities:
         row[quantity] = math.fsum(values[quantity]) / config.samples
     row["method"] = "mc"
@@ -393,22 +370,25 @@ def cmd_trajectory(config: RunConfig) -> int:
             raise UsageError(f"traj symbol {x} outside alphabet of size {k}")
 
     rows = []
-    for upto in range(1, len(traj) + 1):
-        prefix = traj[:upto]
-        last = prefix[-1]
-        row: dict = {"t": upto}
-        row["pointwise_ntic"] = (
-            pointwise_ntic(config.phi, prefix) if config.phi is not None else None
-        )
-        row["one_step_pointwise_ntic"] = one_step_pointwise_ntic(prefix)
-        row["hindsight_empirical_surprise"] = hindsight_empirical_surprise(prefix)
-        row["marginal_surprise_next"] = (
-            marginal_surprise(config.xi0, prefix, traj[upto]) if upto < len(traj) else None
-        )
-        row["hindsight_marginal_surprise"] = marginal_surprise(config.xi0, prefix, last)
-        row["one_step_info_gain"] = one_step_info_gain(config.xi0, prefix).value
-        row["full_past_info_gain"] = full_past_info_gain(config.xi0, prefix)
-        rows.append(row)
+    counts = [0] * k
+    for upto, last in enumerate(traj, start=1):
+        counts[last] += 1
+        c = CountVector(tuple(counts))
+        one_step = math.log(counts[last] / upto)
+        rows.append({
+            "t": upto,
+            "pointwise_ntic": (
+                pointwise_ntic_from_count(config.phi, c, last) if config.phi is not None else None
+            ),
+            "one_step_pointwise_ntic": one_step,
+            "hindsight_empirical_surprise": -one_step,
+            "marginal_surprise_next": (
+                marginal_surprise_from_count(config.xi0, c, traj[upto]) if upto < len(traj) else None
+            ),
+            "hindsight_marginal_surprise": marginal_surprise_from_count(config.xi0, c, last),
+            "one_step_info_gain": one_step_info_gain_from_count(config.xi0, c, last).value,
+            "full_past_info_gain": full_past_info_gain_from_count(config.xi0, c),
+        })
     columns = ["t", *TRAJECTORY_COLUMNS]
     _emit(_render("trajectory", config, columns, rows), config.output_path)
     return EXIT_OK
@@ -421,18 +401,15 @@ def cmd_trajectory(config: RunConfig) -> int:
 
 def cmd_witness(traj: tuple[int, ...], xi0_a: Hyperparameter, xi0_b: Hyperparameter, units: str) -> int:
     report = ntic_ig_divergence_witness(traj, xi0_a, xi0_b)
-    scale = 1.0 if units == "nats" else _INV_LN2
+
+    def shown(value: float) -> str:
+        return f"{_fmt(_to_units(value, units))} {units}"
+
     print(f"trajectory: {','.join(map(str, traj))}")
-    print(f"one-step pointwise closure (shared): {_fmt(report.one_step_pointwise * scale)} {units}")
-    print(
-        f"one-step information gain, prior A {xi0_a.as_floats()}: "
-        f"{_fmt(report.info_gain_a.value * scale)} {units}"
-    )
-    print(
-        f"one-step information gain, prior B {xi0_b.as_floats()}: "
-        f"{_fmt(report.info_gain_b.value * scale)} {units}"
-    )
-    print(f"gain gap: {_fmt(report.gain_gap * scale)} {units}")
+    print(f"one-step pointwise closure (shared): {shown(report.one_step_pointwise)}")
+    print(f"one-step information gain, prior A {xi0_a.as_floats()}: {shown(report.info_gain_a.value)}")
+    print(f"one-step information gain, prior B {xi0_b.as_floats()}: {shown(report.info_gain_b.value)}")
+    print(f"gain gap: {shown(report.gain_gap)}")
     print(
         "witness established: the pointwise closure is identical while the "
         "information gains differ, so prior experience stays invisible to it."

@@ -14,13 +14,16 @@ to count combinatorics:
 * one-step expectation:    mean of the one-step pointwise value under the
   trajectory distribution.
 
-Expected quantities are computed by enumerating count space (polynomial in t
-for fixed alphabet size) instead of trajectory space (exponential).  The
-grouping that makes this possible -- the number of length-t trajectories with
-count c and last symbol x is |c^{-1}(c - onehot(x))| -- is validated against
-full trajectory enumeration by the oracle module's tests.  All sums use
-exactly rounded ``math.fsum``, so results do not depend on any partitioning
-of the enumeration.
+Every expected quantity is an expectation over the joint distribution of
+(count vector, last symbol), so ``count_last_distribution`` is the one walk
+over count space (polynomial in t for fixed alphabet size) instead of
+trajectory space (exponential); ``count_entropy``, ``one_step_ntic`` and the
+CLI's curve rows each sum their terms over a single pass of it.  The grouping
+that makes this possible -- a fraction c_x / t of the trajectories with count
+c end in symbol x, so p(c, x) = p(c) * c_x / t -- is validated against full
+trajectory enumeration by the tests.  All sums use exactly rounded
+``math.fsum``, so results do not depend on any partitioning of the
+enumeration.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .process import (
     count_log_prob,
     count_space_size,
     enumerate_counts,
-    log_count_cardinality,
     symbol_prob,
     validate_trajectory,
 )
@@ -61,16 +63,6 @@ class NticReport:
     mi_term: float
     te_term: float
 
-    def to_json_dict(self, units: str = "nats") -> dict:
-        scale = _unit_scale(units)
-        return {
-            "t": self.t,
-            "value": self.value * scale,
-            "mi_term": self.mi_term * scale,
-            "te_term": self.te_term * scale,
-            "units": units,
-        }
-
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -86,14 +78,6 @@ class EmpiricalDistribution:
         return tuple(float(p) for p in self.probs)
 
 
-def _unit_scale(units: str) -> float:
-    if units == "nats":
-        return 1.0
-    if units == "bits":
-        return 1.0 / math.log(2.0)
-    raise DomainError(f"unknown units {units!r}, expected 'nats' or 'bits'")
-
-
 def _check_count_cap(k: int, t: int, cap: int) -> None:
     size = count_space_size(k, t)
     if size > cap:
@@ -102,6 +86,37 @@ def _check_count_cap(k: int, t: int, cap: int) -> None:
             f"exceeding the cap of {cap}; use Monte Carlo mode (sampled "
             f"trajectories with plug-in pointwise estimates) or raise the cap"
         )
+
+
+# ---------------------------------------------------------------------------
+# The count-space walk
+# ---------------------------------------------------------------------------
+
+
+def count_last_distribution(
+    phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP
+) -> Iterator[tuple[CountVector, int, float, float]]:
+    """Joint distribution of (count vector, last symbol) for length-t trajectories.
+
+    Yields ``(c, x, p, log_pc)`` for every count vector c of positive
+    probability and every symbol x with c_x >= 1, where ``log_pc`` is the log
+    multinomial probability of c and ``p`` the probability of (c, x).
+    Trajectories are grouped rather than enumerated: by exchangeability a
+    fraction c_x / t of the trajectories with count c end in x, so
+    p = p(c) * c_x / t, and each count vector costs one ``count_log_prob``.
+    This is the single walk over count space behind every expected quantity.
+    """
+    if t < 1:
+        raise DomainError(f"need t >= 1, got {t}")
+    _check_count_cap(phi.size, t, cap)
+    for c in enumerate_counts(phi.size, t):
+        log_pc = count_log_prob(phi, c)
+        if log_pc == NEG_INFINITY:
+            continue
+        p_c = math.exp(log_pc)
+        for x, n in enumerate(c.counts):
+            if n > 0:
+                yield c, x, p_c * n / t, log_pc
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +132,14 @@ def symbol_entropy(phi: CategoricalParam) -> float:
 def count_entropy(phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP) -> float:
     """Entropy (nats) of the count vector of a length-t trajectory.
 
-    Exact summation over all count vectors; raises ``ResourceCapError`` when
-    the count space exceeds ``cap``.
+    Exact summation over ``count_last_distribution``; raises
+    ``ResourceCapError`` when the count space exceeds ``cap``.
     """
     if t < 0:
         raise DomainError(f"time index must be >= 0, got {t}")
-    _check_count_cap(phi.size, t, cap)
-    terms = []
-    for c in enumerate_counts(phi.size, t):
-        log_p = count_log_prob(phi, c)
-        if log_p == NEG_INFINITY:
-            continue
-        terms.append(-math.exp(log_p) * log_p)
-    return math.fsum(terms)
+    if t == 0:
+        return 0.0  # the empty trajectory's count is certain
+    return math.fsum(-p * log_pc for _, _, p, log_pc in count_last_distribution(phi, t, cap=cap))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +161,21 @@ def ntic(phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP) -> NticRep
     return NticReport(t=t, value=mi - te, mi_term=mi, te_term=te)
 
 
+def pointwise_ntic_from_count(phi: CategoricalParam, c: CountVector, x: int) -> float:
+    """Pointwise full-past closure from the counts of the full trajectory and its last symbol.
+
+    Count-level core of ``pointwise_ntic``; requires c_x >= 1 and refuses a
+    trajectory of zero probability under ``phi``.
+    """
+    lp_count = count_log_prob(phi, c)
+    lp_last = symbol_prob(phi, x)
+    if c.counts[x] < 1:
+        raise DomainError(f"the last symbol {x} must occur in the counts, got {c.counts}")
+    if lp_last == NEG_INFINITY or lp_count == NEG_INFINITY:
+        raise DomainError("trajectory has zero probability under the given parameter")
+    return lp_last - lp_count
+
+
 def pointwise_ntic(phi: CategoricalParam, traj: Sequence[int]) -> float:
     """Pointwise full-past closure of one trajectory (nats).
 
@@ -160,11 +185,7 @@ def pointwise_ntic(phi: CategoricalParam, traj: Sequence[int]) -> float:
     traj = validate_trajectory(traj, phi.size)
     if len(traj) < 1:
         raise DomainError("pointwise closure needs a nonempty trajectory")
-    lp_last = symbol_prob(phi, traj[-1])
-    lp_count = count_log_prob(phi, count(traj, phi.size))
-    if lp_last == NEG_INFINITY or lp_count == NEG_INFINITY:
-        raise DomainError("trajectory has zero probability under the given parameter")
-    return lp_last - lp_count
+    return pointwise_ntic_from_count(phi, count(traj, phi.size), traj[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -185,54 +206,17 @@ def one_step_pointwise_ntic(traj: Sequence[int]) -> float:
     return math.log(traj.count(traj[-1]) / len(traj))
 
 
-def count_last_distribution(
-    phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP
-) -> Iterator[tuple[CountVector, int, float]]:
-    """Joint distribution of (count vector, last symbol) for length-t trajectories.
-
-    Yields ``(c, x, p)`` triples with p > 0.  Trajectories are grouped rather
-    than enumerated: the number of length-t trajectories with count c and last
-    symbol x is |c^{-1}(c - onehot(x))| whenever c_x >= 1, so
-    p = |c^{-1}(c - onehot(x))| * prod(phi**c).
-    """
-    if t < 1:
-        raise DomainError(f"need t >= 1, got {t}")
-    _check_count_cap(phi.size, t, cap)
-    log_phi = [math.log(p) if p > 0.0 else NEG_INFINITY for p in phi.probs]
-    for c in enumerate_counts(phi.size, t):
-        log_p_traj = 0.0
-        supported = True
-        for n, lp in zip(c.counts, log_phi):
-            if n == 0:
-                continue
-            if lp == NEG_INFINITY:
-                supported = False
-                break
-            log_p_traj += n * lp
-        if not supported:
-            continue
-        for x, n in enumerate(c.counts):
-            if n == 0:
-                continue
-            reduced = list(c.counts)
-            reduced[x] -= 1
-            weight = math.exp(log_count_cardinality(CountVector(tuple(reduced))) + log_p_traj)
-            yield c, x, weight
-
-
 def one_step_ntic(phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP) -> float:
     """Expected one-step closure at time t >= 1 (nats).
 
     Expectation of ``one_step_pointwise_ntic`` under the trajectory
-    distribution, computed exactly over count space via
-    ``count_last_distribution``.
+    distribution, summed over ``count_last_distribution``.
     """
     if t < 1:
         raise DomainError(f"closure is defined for t >= 1, got {t}")
-    terms = [
-        p * math.log(c.counts[x] / t) for c, x, p in count_last_distribution(phi, t, cap=cap)
-    ]
-    return math.fsum(terms)
+    return math.fsum(
+        p * math.log(c.counts[x] / t) for c, x, p, _ in count_last_distribution(phi, t, cap=cap)
+    )
 
 
 def empirical_distribution(traj: Sequence[int], k: int | None = None) -> EmpiricalDistribution:

@@ -13,12 +13,13 @@ of completion order, keeping reports byte-stable.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bayes import full_past_info_gain
 from .closure import ntic, one_step_ntic
-from .errors import ResourceCapError
+from .errors import DomainError, ResourceCapError
 from .oracle import (
     DEFAULT_JOINT_CAP,
     build_joint,
@@ -192,11 +193,14 @@ def run_conformance(
     joint_cap: int = DEFAULT_JOINT_CAP,
     jobs: int = 1,
 ) -> ConformanceResult:
-    """Run the full grid and return all comparison records in canonical order."""
+    """Run the full grid and return all comparison records in canonical order.
+
+    ``jobs`` is clamped to the CPU count and to the number of grid points.
+    """
     if max_k < 2 or max_k > 3:
-        raise ResourceCapError("conformance grids are defined for alphabet sizes 2 and 3")
+        raise DomainError("conformance grids are defined for alphabet sizes 2 and 3")
     if max_t < 1:
-        raise ResourceCapError(f"need max_t >= 1, got {max_t}")
+        raise DomainError(f"need max_t >= 1, got {max_t}")
 
     points = [
         (k, phi_probs, t, tolerance, joint_cap)
@@ -207,6 +211,7 @@ def run_conformance(
 
     records: list[ConformanceRecord] = []
     warns: list[str] = []
+    jobs = min(jobs, os.cpu_count() or 1, len(points))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_ntic_point, points))

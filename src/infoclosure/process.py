@@ -312,22 +312,24 @@ def enumerate_counts(k: int, t: int) -> Iterator[CountVector]:
 # ---------------------------------------------------------------------------
 
 
-def sample_trajectory(phi: CategoricalParam, t: int, seed: int) -> Trajectory:
-    """Draw a length-t trajectory i.i.d. from phi, deterministically per seed.
+def sample_trajectories(
+    phi: CategoricalParam, t: int, samples: int, seed: int | Sequence[int]
+) -> np.ndarray:
+    """Draw ``samples`` length-t trajectories i.i.d. from phi, one per row.
 
-    Symbols come from inverse-CDF lookups on a seeded PCG64 uniform stream, so
-    a fixed (phi, t, seed) always yields the same trajectory.
+    Symbols come from inverse-CDF lookups on a seeded PCG64 uniform stream
+    read row by row, so a fixed (phi, t, samples, seed) always yields the same
+    integer array of shape (samples, t).
     """
     if t < 0:
         raise DomainError(f"trajectory length must be >= 0, got {t}")
-    if t == 0:
-        return ()
-    rng = np.random.default_rng(seed)
-    u = rng.random(t)
-    cum = np.cumsum(phi.as_array())
-    symbols = np.searchsorted(cum, u, side="right")
+    u = np.random.default_rng(seed).random((samples, t))
+    symbols = np.searchsorted(np.cumsum(phi.as_array()), u, side="right")
     # Float cumsum can land just below 1; fold the sliver onto the last
     # positive-probability symbol.
-    last_support = phi.support[-1]
-    symbols = np.minimum(symbols, last_support)
-    return tuple(int(x) for x in symbols)
+    return np.minimum(symbols, phi.support[-1])
+
+
+def sample_trajectory(phi: CategoricalParam, t: int, seed: int) -> Trajectory:
+    """Draw one length-t trajectory: the single row of ``sample_trajectories``."""
+    return tuple(int(x) for x in sample_trajectories(phi, t, 1, seed)[0])

@@ -258,7 +258,14 @@ class TestWitness:
 
 class TestCountLevelCores:
     def test_from_count_matches_trajectory_route(self):
-        from infoclosure import full_past_info_gain_from_count, one_step_info_gain_from_count
+        from infoclosure import (
+            CategoricalParam,
+            full_past_info_gain_from_count,
+            marginal_surprise_from_count,
+            one_step_info_gain_from_count,
+            pointwise_ntic,
+            pointwise_ntic_from_count,
+        )
 
         xi0 = Hyperparameter((0.5, 2))
         traj = (1, 0, 1, 1)
@@ -267,9 +274,19 @@ class TestCountLevelCores:
             one_step_info_gain(xi0, traj).value
         )
         assert full_past_info_gain_from_count(xi0, c) == full_past_info_gain(xi0, traj)
+        for x in (0, 1):
+            assert marginal_surprise_from_count(xi0, c, x) == marginal_surprise(xi0, traj, x)
+        phi = CategoricalParam((0.3, 0.7))
+        assert pointwise_ntic_from_count(phi, c, traj[-1]) == pointwise_ntic(phi, traj)
 
     def test_last_symbol_must_occur(self):
-        from infoclosure import one_step_info_gain_from_count
+        from infoclosure import (
+            CategoricalParam,
+            one_step_info_gain_from_count,
+            pointwise_ntic_from_count,
+        )
 
         with pytest.raises(DomainError):
             one_step_info_gain_from_count(Hyperparameter((1, 1)), CountVector((2, 0)), 1)
+        with pytest.raises(DomainError):
+            pointwise_ntic_from_count(CategoricalParam((0.5, 0.5)), CountVector((2, 0)), 1)

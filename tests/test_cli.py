@@ -171,6 +171,12 @@ class TestTrajectory:
         assert header[0] == "t"
         assert rows == []
 
+    def test_zero_probability_prefix_is_refused(self):
+        rc, out, err = run_cli("trajectory", "--phi", "1,0", "--xi0", "1,1", "--traj", "0,1")
+        assert rc == 1
+        assert "zero probability" in err
+        assert out == ""
+
     def test_symbol_outside_alphabet(self):
         rc, _, err = run_cli("trajectory", "--traj", "0,3", "--xi0", "1,1")
         assert rc == 1
@@ -210,6 +216,12 @@ class TestConformance:
         rc, out, _ = run_cli("conformance", "--max-k", "2", "--max-t", "3", "--tolerance", "0")
         assert rc == 3
         assert "FAILED" in out
+
+    @pytest.mark.parametrize("flags", [("--max-k", "4"), ("--max-k", "1"), ("--max-t", "0")])
+    def test_grid_outside_its_definition_is_a_usage_error(self, flags):
+        rc, _, err = run_cli("conformance", *flags)
+        assert rc == 1
+        assert err.startswith("error:")
 
     def test_parallel_jobs_match_serial(self):
         rc_serial, out_serial, _ = run_cli("conformance", "--max-k", "2", "--max-t", "3")

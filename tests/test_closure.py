@@ -19,6 +19,7 @@ from infoclosure import (
     ResourceCapError,
     count_entropy,
     count_last_distribution,
+    count_log_prob,
     empirical_distribution,
     ntic,
     one_step_ntic,
@@ -200,7 +201,7 @@ class TestCountLastDistribution:
     @pytest.mark.parametrize("phi", PHI_GRID)
     def test_is_a_distribution(self, phi):
         for t in (1, 3, 5):
-            weights = [p for _, _, p in count_last_distribution(phi, t)]
+            weights = [p for _, _, p, _ in count_last_distribution(phi, t)]
             assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
             assert all(p > 0.0 for p in weights)
 
@@ -212,7 +213,10 @@ class TestCountLastDistribution:
         for traj in itertools.product(range(3), repeat=t):
             key = (tuple(traj.count(x) for x in range(3)), traj[-1])
             brute[key] = brute.get(key, 0.0) + math.exp(trajectory_log_prob(phi, traj))
-        grouped = {(c.counts, x): p for c, x, p in count_last_distribution(phi, t)}
+        grouped = {}
+        for c, x, p, log_pc in count_last_distribution(phi, t):
+            grouped[(c.counts, x)] = p
+            assert log_pc == count_log_prob(phi, c)
         assert set(grouped) == set(brute)
         for key, p in grouped.items():
             assert p == pytest.approx(brute[key], abs=1e-13)

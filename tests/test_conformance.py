@@ -1,17 +1,9 @@
 """Checks for the conformance runner and the report surfaces."""
 
-import math
-
 import pytest
 
-from infoclosure import (
-    CategoricalParam,
-    Hyperparameter,
-    ResourceCapError,
-    ntic,
-    one_step_info_gain,
-    run_conformance,
-)
+import infoclosure.conformance as conformance
+from infoclosure import DomainError, run_conformance
 
 
 class TestRunner:
@@ -50,10 +42,37 @@ class TestRunner:
         ]
 
     def test_grid_bounds(self):
-        with pytest.raises(ResourceCapError):
-            run_conformance(max_k=5)
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(DomainError):
+            run_conformance(max_k=4)
+        with pytest.raises(DomainError):
+            run_conformance(max_k=1)
+        with pytest.raises(DomainError):
             run_conformance(max_t=0)
+
+    @pytest.mark.parametrize("cpus, max_t, expected", [(4, 2, 4), (64, 1, 5)])
+    def test_jobs_clamped_to_cpus_and_grid_points(self, monkeypatch, cpus, max_t, expected):
+        # The k=2 grid has 5 data parameters, so max_t=1 gives 5 points and
+        # max_t=2 gives 10.  The fake pool runs serially and spawns nothing.
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(conformance, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(conformance.os, "cpu_count", lambda: cpus)
+        result = run_conformance(max_k=2, max_t=max_t, jobs=10**6)
+        assert seen == [expected]
+        assert result.all_passed
 
     def test_record_shape(self):
         record = run_conformance(max_k=2, max_t=1).records[0].to_json_dict()
@@ -66,26 +85,3 @@ class TestRunner:
             "pass",
         }
 
-
-class TestReportSerialization:
-    def test_ntic_report_json_keys_and_units(self):
-        report = ntic(CategoricalParam((0.5, 0.5)), 2)
-        nats = report.to_json_dict()
-        assert set(nats) == {"t", "value", "mi_term", "te_term", "units"}
-        assert nats["units"] == "nats"
-        bits = report.to_json_dict(units="bits")
-        assert bits["value"] == pytest.approx(0.5, abs=1e-15)
-        assert bits["value"] == pytest.approx(nats["value"] / math.log(2), abs=1e-15)
-
-    def test_info_gain_report_json_keys(self):
-        report = one_step_info_gain(Hyperparameter((1, 1)), (0,))
-        payload = report.to_json_dict()
-        assert set(payload) == {
-            "value",
-            "surprise_term",
-            "expected_hindsight_term",
-            "units",
-        }
-        assert payload["value"] == pytest.approx(
-            payload["surprise_term"] - payload["expected_hindsight_term"], abs=1e-12
-        )

@@ -94,3 +94,27 @@ class TestDigamma:
             digamma(0.0)
         with pytest.raises(DomainError):
             digamma(-1.0)
+
+
+def mp_reference(name, z):
+    """``mpmath.<name>(z)`` at 50 significant digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return getattr(mpmath, name)(mpmath.mpf(z))
+
+
+class TestAgainstMpmath:
+    """The accuracy bounds stated in the module docstring."""
+
+    def test_log_gamma_absolute_below_500(self):
+        for z in np.linspace(0.5, 500.0, 2000):
+            assert abs(log_gamma(float(z)) - mp_reference("loggamma", float(z))) <= 1e-12
+
+    def test_log_gamma_relative_above_10(self):
+        for z in np.geomspace(10.0, 1e15, 2000):
+            ref = mp_reference("loggamma", float(z))
+            assert abs((log_gamma(float(z)) - ref) / ref) <= 1e-15
+
+    def test_digamma_absolute(self):
+        for z in np.geomspace(1e-3, 1e12, 2000):
+            assert abs(digamma(float(z)) - mp_reference("digamma", float(z))) <= 1e-10

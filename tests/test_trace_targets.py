@@ -1,0 +1,29 @@
+"""Every function the benchmark's call tracer wraps must still exist.
+
+``bench/spans.py`` names its targets by module and attribute; a rename in the
+package would otherwise surface only as a crash of a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def load_targets():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_every_target_resolves_to_a_callable():
+    for name, module_name, attr, kind in load_targets():
+        obj = importlib.import_module(f"infoclosure.{module_name}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name
+        # The tracer drives generator targets item by item.
+        assert inspect.isgeneratorfunction(obj) == (kind == "gen"), name
