@@ -17,13 +17,22 @@ that depend on that interpretation:
 The marginal-surprise term inside the one-step gain is computed from the
 prior and the trajectory's counts directly rather than by replaying the
 trajectory; the replay route exists in the tests as an independent check.
+
+The one-step gain and the hindsight marginal surprise of a last symbol x
+depend on a count vector c only through (x, c_x, t).  ``belief_tables``
+evaluates them once per (x, c_x) for a whole time step, from the same
+exact-rational expressions as the per-state functions, so a table entry
+equals the per-state value bit for bit and count-space passes only index it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .closure import one_step_pointwise_ntic
 from .errors import (
@@ -163,6 +172,29 @@ def expected_log_predictive(xi: Hyperparameter, x: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _one_step_gain(
+    a: Fraction, n: int, total0: Fraction, t: int, digamma_total: float
+) -> InfoGainReport:
+    """One-step gain of a last symbol with prior component ``a`` and count n >= 1.
+
+    ``total0`` is the prior's total, t the trajectory length, and
+    ``digamma_total`` = digamma(float(total0 + t)); the posterior component
+    of the symbol is a + n.
+    """
+    # Marginal surprise of x before it was incorporated, written in terms of
+    # the full-trajectory counts; the numerator is strictly positive because
+    # n >= 1 and every prior component is > 0.
+    ratio = (a - 1 + n) / (total0 - 1 + t)
+    surprise_term = -math.log(float(ratio))
+    expected_hindsight = -(digamma(float(a + n)) - digamma_total)
+    value = _clamp_kl(surprise_term - expected_hindsight)
+    return InfoGainReport(
+        value=value,
+        surprise_term=surprise_term,
+        expected_hindsight_term=expected_hindsight,
+    )
+
+
 def one_step_info_gain_from_count(xi0: Hyperparameter, c: CountVector, x: int) -> InfoGainReport:
     """One-step gain from the counts of the full trajectory and its last symbol.
 
@@ -176,19 +208,32 @@ def one_step_info_gain_from_count(xi0: Hyperparameter, c: CountVector, x: int) -
         )
     if c.counts[x] < 1:
         raise DomainError(f"the last symbol {x} must occur in the counts, got {c.counts}")
-    # Marginal surprise of x before it was incorporated, written in terms of
-    # the full-trajectory counts; the numerator is strictly positive because
-    # c_x >= 1 and every prior component is > 0.
-    ratio = (xi0.alpha[x] - 1 + c.counts[x]) / (xi0.total - 1 + c.total)
-    surprise_term = -math.log(float(ratio))
-    post = add_counts(xi0, c)
-    expected_hindsight = -expected_log_predictive(post, x)
-    value = _clamp_kl(surprise_term - expected_hindsight)
-    return InfoGainReport(
-        value=value,
-        surprise_term=surprise_term,
-        expected_hindsight_term=expected_hindsight,
+    total0 = xi0.total
+    return _one_step_gain(
+        xi0.alpha[x], c.counts[x], total0, c.total, digamma(float(total0 + c.total))
     )
+
+
+def belief_tables(xi0: Hyperparameter, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-step gain and hindsight marginal surprise per (last symbol, count) at time t.
+
+    Returns two (K, t + 1) arrays.  Entry [x, n], 1 <= n <= t, is
+    ``one_step_info_gain_from_count(xi0, c, x).value`` and
+    ``marginal_surprise_from_count(xi0, c, x)`` for every length-t count
+    vector c with c_x = n; column 0 is NaN.  Costs K * t + 1 digamma calls.
+    """
+    if t < 1:
+        raise DomainError(f"need t >= 1, got {t}")
+    total0 = xi0.total
+    total1 = total0 + t
+    digamma_total = digamma(float(total1))
+    gain = np.full((xi0.size, t + 1), np.nan)
+    surprise = np.full((xi0.size, t + 1), np.nan)
+    for x, a in enumerate(xi0.alpha):
+        for n in range(1, t + 1):
+            gain[x, n] = _one_step_gain(a, n, total0, t, digamma_total).value
+            surprise[x, n] = -math.log(float((a + n) / total1))
+    return gain, surprise
 
 
 def one_step_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> InfoGainReport:

@@ -32,12 +32,19 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bayes import (
+    belief_tables,
     full_past_info_gain_from_count,
     marginal_surprise_from_count,
     ntic_ig_divergence_witness,
     one_step_info_gain_from_count,
 )
-from .closure import count_last_distribution, pointwise_ntic_from_count, symbol_entropy
+from .closure import (
+    count_surprisal,
+    expectations,
+    log_relative_frequency,
+    pointwise_ntic_from_count,
+    symbol_entropy,
+)
 from .conformance import run_conformance
 from .errors import (
     DomainError,
@@ -284,19 +291,15 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _curve_exact_row(config: RunConfig, t: int) -> dict:
-    """One pass over count space collects a term per requested quantity."""
-    xi0 = config.xi0
-    terms: dict[str, list[float]] = {q: [] for q in CURVE_QUANTITIES if q in config.quantities}
-    for c, x, p, log_pc in count_last_distribution(config.phi, t):
-        if "ntic" in terms:
-            terms["ntic"].append(-p * log_pc)
-        if "one_step_ntic" in terms:
-            terms["one_step_ntic"].append(p * math.log(c.counts[x] / t))
-        if "info_gain" in terms:
-            terms["info_gain"].append(p * one_step_info_gain_from_count(xi0, c, x).value)
-        if "surprise" in terms:
-            terms["surprise"].append(p * marginal_surprise_from_count(xi0, c, x))
-    row: dict = {"t": t, **{q: math.fsum(values) for q, values in terms.items()}}
+    """One pass over count space gives every requested quantity."""
+    quantities = [q for q in CURVE_QUANTITIES if q in config.quantities]
+    values = {"ntic": count_surprisal, "one_step_ntic": log_relative_frequency}
+    if "info_gain" in quantities or "surprise" in quantities:
+        gain, surprise = belief_tables(config.xi0, t)
+        values["info_gain"] = lambda block: gain[block.x, block.n]
+        values["surprise"] = lambda block: surprise[block.x, block.n]
+    sums = expectations(config.phi, t, [values[q] for q in quantities])
+    row: dict = {"t": t, **dict(zip(quantities, sums))}
     if "ntic" in row:
         row["ntic"] -= symbol_entropy(config.phi)  # count entropy minus symbol entropy
     row["method"] = "exact"

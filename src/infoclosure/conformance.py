@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bayes import full_past_info_gain
-from .closure import ntic, one_step_ntic
+from .closure import count_surprisal, expectations, log_relative_frequency, symbol_entropy
 from .errors import DomainError, ResourceCapError
 from .oracle import (
     DEFAULT_JOINT_CAP,
@@ -124,8 +124,9 @@ def _ntic_point(args) -> tuple[list[ConformanceRecord], list[str]]:
     records: list[ConformanceRecord] = []
     warns: list[str] = []
 
-    closed_full = ntic(phi, t).value
-    closed_one = one_step_ntic(phi, t)
+    # Both closed forms from one pass: ntic's count entropy and one_step_ntic.
+    count_entropy, closed_one = expectations(phi, t, [count_surprisal, log_relative_frequency])
+    closed_full = count_entropy - symbol_entropy(phi)
 
     oracle_full: list[float] = []
     oracle_one: list[float] = []

@@ -13,7 +13,11 @@ Numeric conventions used throughout the package:
   exactly zero is represented by ``NEG_INFINITY``;
 * multinomial coefficients are exact arbitrary-precision integers; their
   logarithms come from the exact integer while the total is <= 64 and from
-  ``log_gamma`` above that;
+  ``log_gamma`` above that.  Whole-lattice passes take them from one table
+  of log m! with the same split (``log_factorials``);
+* the count lattice of (k, t) is built once, as int64 arrays in
+  lexicographic order and in blocks of at most ``LATTICE_BLOCK_ROWS`` rows
+  (``count_lattice_blocks``), so memory stays bounded however large t is;
 * concentration vectors store exact rationals so that one-hot updates, batch
   updates, and posterior construction agree to the bit, not merely to a
   tolerance (repeated float ``+1.0`` provably drifts from a single ``+n``).
@@ -21,6 +25,7 @@ Numeric conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +44,14 @@ Trajectory = tuple[int, ...]
 # Largest count total whose multinomial coefficient is logged from the exact
 # integer; beyond it the log-gamma route is both cheaper and stable.
 _EXACT_LOG_TOTAL = 64
+
+# log(m!) for m <= _EXACT_LOG_TOTAL, each logged from the exact integer.
+_EXACT_LOG_FACTORIALS = np.array(
+    [math.log(math.factorial(m)) for m in range(_EXACT_LOG_TOTAL + 1)]
+)
+
+#: Most rows one block of the count lattice holds.
+LATTICE_BLOCK_ROWS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +299,46 @@ def count_space_size(k: int, t: int) -> int:
     return math.comb(t + k - 1, k - 1)
 
 
-def enumerate_counts(k: int, t: int) -> Iterator[CountVector]:
-    """Yield every nonnegative k-vector summing to t, each exactly once.
+def log_factorials(n: int) -> np.ndarray:
+    """log(m!) for m = 0..n as one float array.
 
-    Lexicographically ascending; the stream has ``count_space_size(k, t)``
-    elements (compositions of t into k parts).
+    Same split as ``log_count_cardinality``: the log of the exact integer
+    while m <= 64, ``log_gamma(m + 1)`` above.
+    """
+    large = [log_gamma(m + 1.0) for m in range(_EXACT_LOG_TOTAL + 1, n + 1)]
+    return np.concatenate((_EXACT_LOG_FACTORIALS[: n + 1], large))
+
+
+def count_lattice_blocks(k: int, t: int) -> Iterator[np.ndarray]:
+    """Every nonnegative k-vector summing to t, as int64 arrays of shape (rows, k).
+
+    Rows run in lexicographically ascending order across the blocks, each
+    block holding at most ``LATTICE_BLOCK_ROWS`` rows; there are
+    ``count_space_size(k, t)`` rows in all.  A composition is read off the
+    positions of k - 1 bars among t + k - 1 slots, and ``combinations``
+    yields those positions in the same lexicographic order.
     """
     if k < 1 or t < 0:
         raise DomainError(f"need k >= 1 and t >= 0, got k={k}, t={t}")
-
-    def rec(parts: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if parts == 1:
-            yield (remaining,)
+    bars = itertools.combinations(range(t + k - 1), k - 1)
+    while True:
+        chunk = list(itertools.islice(bars, LATTICE_BLOCK_ROWS))
+        if not chunk:
             return
-        for first in range(remaining + 1):
-            for rest in rec(parts - 1, remaining - first):
-                yield (first,) + rest
+        positions = np.array(chunk, dtype=np.int64)  # shape (rows, k - 1)
+        yield np.diff(positions, axis=1, prepend=-1, append=t + k - 1) - 1
 
-    for counts in rec(k, t):
-        yield CountVector(counts)
+
+def enumerate_counts(k: int, t: int) -> Iterator[CountVector]:
+    """Yield every nonnegative k-vector summing to t, each exactly once.
+
+    One ``CountVector`` per row of ``count_lattice_blocks``: lexicographically
+    ascending, ``count_space_size(k, t)`` elements (compositions of t into k
+    parts).
+    """
+    for block in count_lattice_blocks(k, t):
+        for row in block.tolist():
+            yield CountVector(tuple(row))
 
 
 # ---------------------------------------------------------------------------

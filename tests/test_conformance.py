@@ -2,8 +2,9 @@
 
 import pytest
 
+import infoclosure.closure as closure
 import infoclosure.conformance as conformance
-from infoclosure import DomainError, run_conformance
+from infoclosure import CategoricalParam, DomainError, ntic, one_step_ntic, run_conformance
 
 
 class TestRunner:
@@ -73,6 +74,30 @@ class TestRunner:
         result = run_conformance(max_k=2, max_t=max_t, jobs=10**6)
         assert seen == [expected]
         assert result.all_passed
+
+    def test_one_kernel_pass_per_grid_point(self, monkeypatch):
+        passes = []
+        kernel = closure.count_last_blocks
+
+        def counting_kernel(phi, t, *args):
+            passes.append((phi.probs, t))
+            return kernel(phi, t, *args)
+
+        monkeypatch.setattr(closure, "count_last_blocks", counting_kernel)
+        result = run_conformance(max_k=2, max_t=3)
+        assert len(passes) == len(set(passes)) == 5 * 3
+        # The shared pass gives the same closed forms as the two functions.
+        monkeypatch.undo()
+        for record in result.records:
+            context = record.context
+            if record.quantity in ("ntic_full_past", "ntic_one_step"):
+                phi, t = CategoricalParam(context["phi"]), context["t"]
+                expected = (
+                    ntic(phi, t).value
+                    if record.quantity == "ntic_full_past"
+                    else one_step_ntic(phi, t)
+                )
+                assert record.closed_form == expected
 
     def test_record_shape(self):
         record = run_conformance(max_k=2, max_t=1).records[0].to_json_dict()

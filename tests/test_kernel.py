@@ -1,0 +1,241 @@
+"""Checks for the array count-space kernel and the per-(symbol, count) belief tables.
+
+The kernel (``closure.count_last_blocks``) walks the count lattice in numpy
+blocks; exact curve rows reduce it against tables from ``bayes.belief_tables``.
+The references below walk count space one state at a time with the scalar
+functions, or with mpmath at 50 digits, and share no array code with it.
+"""
+
+import itertools
+import math
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import infoclosure.bayes as bayes
+import infoclosure.cli as cli
+import infoclosure.closure as closure
+import infoclosure.process as process
+from infoclosure import (
+    CategoricalParam,
+    CountVector,
+    Hyperparameter,
+    marginal_surprise_from_count,
+    one_step_info_gain_from_count,
+    symbol_entropy,
+)
+from infoclosure.closure import _exact_parts
+
+QUANTITIES = ("ntic", "one_step_ntic", "info_gain", "surprise")
+
+
+def compositions(k, t):
+    """Count vectors of length-t trajectories over k symbols, by brute force."""
+    return [c for c in itertools.product(range(t + 1), repeat=k) if sum(c) == t]
+
+
+def curve_row(phi, xi0, t):
+    config = cli.RunConfig(
+        phi=phi, xi0=xi0, t_max=t, traj=None, quantities=QUANTITIES, seed=0,
+        samples=0, units="nats", output_format="csv", output_path=None,
+    )
+    return cli._curve_exact_row(config, t)
+
+
+def scalar_row(phi, xi0, t):
+    """The four curve cells as per-state sums of the scalar functions."""
+    terms = {q: [] for q in QUANTITIES}
+    for counts in compositions(phi.size, t):
+        if any(n > 0 and p == 0.0 for n, p in zip(counts, phi.probs)):
+            continue
+        log_pc = math.log(math.factorial(t)) + math.fsum(
+            n * math.log(p) - math.log(math.factorial(n))
+            for n, p in zip(counts, phi.probs)
+            if n > 0
+        )
+        c = CountVector(counts)
+        for x, n in enumerate(counts):
+            if n == 0:
+                continue
+            p = math.exp(log_pc) * n / t
+            terms["ntic"].append(-p * log_pc)
+            terms["one_step_ntic"].append(p * math.log(n / t))
+            terms["info_gain"].append(p * one_step_info_gain_from_count(xi0, c, x).value)
+            terms["surprise"].append(p * marginal_surprise_from_count(xi0, c, x))
+    row = {q: math.fsum(values) for q, values in terms.items()}
+    row["ntic"] -= symbol_entropy(phi)
+    return row
+
+
+def mpmath_row(phi, xi0, t):
+    """The four curve cells at 50 digits, phi and xi0 read as their exact binary values."""
+    with mpmath.workdps(50):
+        probs = [mpmath.mpf(p) for p in phi.probs]
+        alpha = [mpmath.mpf(float(a)) for a in xi0.alpha]
+        total = mpmath.fsum(alpha)
+        sums = {q: mpmath.mpf(0) for q in QUANTITIES}
+        for counts in compositions(phi.size, t):
+            pc = mpmath.factorial(t)
+            for n, p in zip(counts, probs):
+                pc *= p**n / mpmath.factorial(n)
+            if pc == 0:
+                continue
+            for x, n in enumerate(counts):
+                if n == 0:
+                    continue
+                p = pc * n / t
+                a = alpha[x]
+                sums["ntic"] -= p * mpmath.log(pc)
+                sums["one_step_ntic"] += p * mpmath.log(mpmath.mpf(n) / t)
+                sums["info_gain"] += p * (
+                    -mpmath.log((a - 1 + n) / (total - 1 + t))
+                    + mpmath.digamma(a + n)
+                    - mpmath.digamma(total + t)
+                )
+                sums["surprise"] -= p * mpmath.log((a + n) / (total + t))
+        sums["ntic"] += mpmath.fsum(p * mpmath.log(p) for p in probs if p > 0)
+        return {q: float(v) for q, v in sums.items()}
+
+
+@st.composite
+def phi_xi0(draw):
+    k = draw(st.sampled_from((1, 2, 3, 4)))
+    # Integer weights, some zero, give data parameters with zero components.
+    weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+    phi = CategoricalParam(tuple(w / sum(weights) for w in weights))
+    # Sub-unit, moderate and strong counter starts.
+    xi0 = Hyperparameter(tuple(
+        draw(st.lists(st.sampled_from((0.05, 0.3, 1.0, 2.5, 40.0)), min_size=k, max_size=k))
+    ))
+    return phi, xi0
+
+
+class TestBeliefTables:
+    @pytest.mark.parametrize(
+        "alpha", [(1, 1), (0.5, 2), (0.1, 0.7, 3.3), (10, 1, 1), (0.05, 40.0, 2.5, 1)]
+    )
+    def test_entries_equal_the_scalar_functions_bit_for_bit(self, alpha):
+        xi0 = Hyperparameter(alpha)
+        k = xi0.size
+        for t in (1, 2, 5, 13):
+            gain, surprise = bayes.belief_tables(xi0, t)
+            assert gain.shape == surprise.shape == (k, t + 1)
+            for x in range(k):
+                for n in range(1, t + 1):
+                    # Any count vector with c_x = n and total t; the rest on one symbol.
+                    counts = [0] * k
+                    counts[x] = n
+                    counts[(x + 1) % k] += t - n
+                    c = CountVector(tuple(counts))
+                    assert gain[x, n] == one_step_info_gain_from_count(xi0, c, x).value
+                    assert surprise[x, n] == marginal_surprise_from_count(xi0, c, x)
+
+
+class TestKernelRows:
+    @given(phi_xi0(), st.integers(1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_per_state_scalar_sum(self, case, t):
+        phi, xi0 = case
+        row = curve_row(phi, xi0, t)
+        expected = scalar_row(phi, xi0, t)
+        for q in QUANTITIES:
+            # The floor covers cells that are zero in exact arithmetic
+            # (ntic at t = 1 is a difference of two equal entropies).
+            assert row[q] == pytest.approx(expected[q], rel=1e-12, abs=1e-15), q
+
+    @pytest.mark.parametrize(
+        "phi,xi0",
+        [
+            ((0.3, 0.7), (0.5, 2)),
+            ((0.2, 0.3, 0.5), (1, 0.25, 10)),
+            ((0.6, 0.0, 0.4), (2.5, 1, 0.3)),
+        ],
+    )
+    def test_cells_match_mpmath_at_50_digits(self, phi, xi0):
+        phi, xi0 = CategoricalParam(phi), Hyperparameter(xi0)
+        for t in range(1, 13):
+            row = curve_row(phi, xi0, t)
+            reference = mpmath_row(phi, xi0, t)
+            for q in QUANTITIES:
+                assert row[q] == pytest.approx(reference[q], rel=1e-12, abs=1e-15), (t, q)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_block_size_does_not_change_a_bit(self, monkeypatch, rows):
+        cases = [
+            (CategoricalParam((0.2, 0.3, 0.5)), Hyperparameter((0.5, 2, 1.25)), 12),
+            (CategoricalParam((0.6, 0.0, 0.4)), Hyperparameter((3, 1, 0.3)), 9),
+            (CategoricalParam((0.1, 0.9)), Hyperparameter((10, 1)), 30),
+        ]
+        default = [curve_row(phi, xi0, t) for phi, xi0, t in cases]
+        pairs = list(closure.count_last_distribution(cases[0][0], cases[0][2]))
+        monkeypatch.setattr(process, "LATTICE_BLOCK_ROWS", rows)
+        assert len(list(process.count_lattice_blocks(3, 12))) > 1
+        assert [curve_row(phi, xi0, t) for phi, xi0, t in cases] == default
+        assert list(closure.count_last_distribution(cases[0][0], cases[0][2])) == pairs
+
+    def test_zero_probability_symbols_are_masked(self):
+        phi = CategoricalParam((0.0, 0.5, 0.0, 0.5))
+        for block in closure.count_last_blocks(phi, 6):
+            assert not block.counts[:, [0, 2]].any()
+            assert (block.p > 0.0).all()
+        assert closure.count_entropy(phi, 6) == pytest.approx(
+            closure.count_entropy(CategoricalParam((0.5, 0.5)), 6), rel=1e-14
+        )
+
+
+class TestWorkPerRow:
+    def test_no_per_state_objects_and_bounded_digamma(self, monkeypatch):
+        """An exact K=3 row at t = 20 (231 states) builds no counter per state."""
+        calls = {"digamma": 0, "add_counts": 0, "Hyperparameter": 0, "CountVector": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        phi = CategoricalParam((0.2, 0.3, 0.5))
+        xi0 = Hyperparameter((0.5, 2, 1.25))
+        monkeypatch.setattr(bayes, "digamma", counting("digamma", bayes.digamma))
+        for module in (process, bayes):
+            monkeypatch.setattr(module, "add_counts", counting("add_counts", process.add_counts))
+        for cls in (Hyperparameter, CountVector):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        k, t = 3, 20
+        curve_row(phi, xi0, t)
+        assert calls["digamma"] <= k * t + 1
+        assert calls["add_counts"] == calls["Hyperparameter"] == calls["CountVector"] == 0
+
+
+class TestLattice:
+    @pytest.mark.parametrize("rows", [1, 4, process.LATTICE_BLOCK_ROWS])
+    def test_blocks_are_the_lexicographic_lattice(self, monkeypatch, rows):
+        monkeypatch.setattr(process, "LATTICE_BLOCK_ROWS", rows)
+        for k in (1, 2, 3, 4):
+            for t in (0, 1, 5):
+                blocks = list(process.count_lattice_blocks(k, t))
+                assert all(1 <= len(b) <= rows and b.shape[1] == k for b in blocks)
+                assert [tuple(r) for b in blocks for r in b.tolist()] == sorted(compositions(k, t))
+
+    def test_log_factorials_split(self):
+        table = process.log_factorials(80)
+        for m in range(81):
+            expected = (
+                math.log(math.factorial(m)) if m <= 64 else process.log_gamma(m + 1.0)
+            )
+            assert table[m] == expected
+
+
+class TestExactParts:
+    @given(
+        st.lists(st.floats(-1e300, 1e300, allow_nan=False), max_size=30),
+        st.lists(st.floats(-1e300, 1e300, allow_nan=False), max_size=30),
+    )
+    @settings(max_examples=300)
+    def test_parts_sum_exactly_to_their_terms(self, first, second):
+        scaled = [v * 2.0**-900 for v in first]  # mix in tiny magnitudes
+        parts = _exact_parts(first + scaled)
+        assert len(parts) < 45
+        assert math.fsum(parts + second) == math.fsum(first + scaled + second)
