@@ -31,6 +31,8 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bayes import (
     belief_tables,
     full_past_info_gain_from_count,
@@ -58,7 +60,6 @@ from .process import (
     CategoricalParam,
     CountVector,
     Hyperparameter,
-    count,
     count_space_size,
     sample_trajectories,
 )
@@ -314,10 +315,12 @@ def _curve_mc_row(config: RunConfig, t: int) -> dict:
             f"Monte Carlo mode needs --samples N (got {config.samples})"
         )
     batch = sample_trajectories(phi, t, config.samples, [config.seed, t])
+    # The (samples, K) count matrix in one pass; the sampler only emits symbols < K.
+    counts = np.stack([(batch == x).sum(axis=1) for x in range(phi.size)], axis=1)
     row: dict = {"t": t}
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
-    for sample in batch.tolist():
-        c, x = count(sample, phi.size), sample[-1]
+    for sample_counts, x in zip(counts.tolist(), batch[:, -1].tolist()):
+        c = CountVector(tuple(sample_counts))
         if "ntic" in values:
             values["ntic"].append(pointwise_ntic_from_count(phi, c, x))
         if "one_step_ntic" in values:

@@ -128,13 +128,15 @@ def _ntic_point(args) -> tuple[list[ConformanceRecord], list[str]]:
     count_entropy, closed_one = expectations(phi, t, [count_surprisal, log_relative_frequency])
     closed_full = count_entropy - symbol_entropy(phi)
 
+    # One enumeration of the joint per (phi, t), relabelled for each start.
+    joint = None
     oracle_full: list[float] = []
     oracle_one: list[float] = []
     for xi0_values in XI0_GRIDS[k]:
         xi0 = Hyperparameter(xi0_values)
         context = {"k": k, "phi": list(phi_probs), "t": t, "xi0": list(xi0_values)}
         try:
-            joint = build_joint(phi, xi0, t, cap=joint_cap)
+            joint = build_joint(phi, xi0, t, cap=joint_cap) if joint is None else joint.relabel(xi0)
         except ResourceCapError as exc:
             warns.append(f"skipped k={k} phi={phi_probs} t={t} xi0={xi0_values}: {exc}")
             continue

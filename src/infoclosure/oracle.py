@@ -16,26 +16,37 @@ the closed forms elsewhere in the package can be machine-checked:
   validate the log-gamma/digamma closed form of the full-past information
   gain.
 
-Counter states are grouped by the trajectory count vectors that determine
-them (for a fixed start the map count -> state is a bijection), and all
-probability sums use exactly rounded ``math.fsum``, so marginal values are
-independent of enumeration order.
+Each marginal groups the table's rows by its own key: the counter state
+before or after the last observation, the last observation, or a tuple of
+these.  A row's key is one integer code, with a digit of radix t + 1 per
+count of each state it names and a digit of radix K for the last symbol,
+so the grouping is one sort per marginal, and each group's probability is
+one exactly rounded ``math.fsum`` over its members, independent of
+enumeration order.  The per-row sums (full-past
+mutual information, unsimplified transfer entropy) are numpy term arrays,
+each reduced with one ``math.fsum`` as well.
+
+``JointTable.marginals`` keys the same groups by the realised counter states
+xi0 + counts, exact rationals built once per group.  Only these labels read
+the start: ``JointTable.relabel`` gives the table of another start, sharing
+the trajectory, probability, count and group arrays, so one enumeration per
+(phi, t) serves every start.
 
 The quadrature normalizes its integrands with ``scipy.special.betaln`` rather
 than this package's own log-gamma, keeping the two routes of every
-closed-form-vs-oracle comparison free of shared code.
+closed-form-vs-oracle comparison free of shared code.  scipy is imported by
+the quadrature functions alone, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import betaln
 
 from .errors import (
     DomainError,
@@ -45,6 +56,7 @@ from .errors import (
 )
 from .process import (
     CategoricalParam,
+    CountVector,
     Hyperparameter,
     add_counts,
     count,
@@ -57,7 +69,69 @@ DEFAULT_JOINT_CAP = 10**6
 #: Tolerance of the internal d-separation consistency check.
 _DSEP_TOL = 1e-10
 
+#: Largest mixed-radix group code; a longer key is re-ranked before it overflows int64.
+_CODE_LIMIT = 2**62
+
+#: The key of every marginal, as a tuple of row fields: the counter state
+#: after the last observation, the one before it, and the last observation.
+_MARGINAL_KEYS = {
+    "p_state": ("state",),
+    "p_prev": ("prev",),
+    "p_last": ("last",),
+    "p_last_state": ("last", "state"),
+    "p_last_prev": ("last", "prev"),
+    "p_state_pair": ("state", "prev"),
+    "p_triple": ("state", "last", "prev"),
+}
+
 Mode = Literal["full_past", "one_step"]
+
+
+class _Grouping(NamedTuple):
+    """The rows of a joint table grouped by one marginal's key."""
+
+    inverse: np.ndarray  # (rows,) group of each row
+    rep: np.ndarray  # (groups,) one row of each group
+    probs: np.ndarray  # (groups,) probability of each group
+
+
+def _group(probs: np.ndarray, columns: Sequence[tuple[np.ndarray, int]]) -> _Grouping:
+    """Group rows by a key of integer columns; each group's probability is one ``math.fsum``.
+
+    Column j takes values in 0..radix_j - 1.  The key's mixed-radix code is
+    re-ranked densely whenever the next digit could overflow, and one sort of
+    the codes numbers the groups in ascending key order.
+    """
+    code = np.zeros(len(probs), dtype=np.int64)
+    size = 1
+    for column, radix in columns:
+        if size * radix > _CODE_LIMIT:
+            _, code = np.unique(code, return_inverse=True)
+            size = int(code.max()) + 1
+        code = code * radix + column
+        size *= radix
+    order = np.argsort(code)
+    code = code[order]
+    new_group = np.concatenate(([True], code[1:] != code[:-1]))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new_group) - 1
+    starts = np.flatnonzero(new_group)
+    members = probs[order].tolist()
+    bounds = [*starts.tolist(), len(members)]
+    sums = [math.fsum(members[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return _Grouping(inverse, order[starts], np.array(sums))
+
+
+def _at(grouping: _Grouping, rows: np.ndarray) -> np.ndarray:
+    """Probability of the group each of ``rows`` belongs to."""
+    return grouping.probs[grouping.inverse[rows]]
+
+
+def _check_sizes(phi: CategoricalParam, xi0: Hyperparameter) -> None:
+    if xi0.size != phi.size:
+        raise DomainError(
+            f"hyperparameter of size {xi0.size} does not match parameter of size {phi.size}"
+        )
 
 
 @dataclass
@@ -66,8 +140,8 @@ class JointTable:
 
     Rows enumerate every nonzero-probability trajectory of length t; both
     counter states are uniquely determined per row, so only the trajectory is
-    stored.  Marginals over the counter states group rows by the count
-    vectors that determine them.
+    stored.  The row groupings of the marginals do not depend on the start
+    and are shared by every ``relabel`` of the table.
     """
 
     k: int
@@ -77,7 +151,8 @@ class JointTable:
     trajectories: np.ndarray  # (n, t) int8
     probs: np.ndarray  # (n,) float
     counts: np.ndarray  # (n, k) int16
-    _groups: dict | None = field(default=None, repr=False)
+    _groups: dict = field(default_factory=dict, repr=False)
+    _marginals: dict | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return self.trajectories.shape[0]
@@ -106,52 +181,72 @@ class JointTable:
                 p *= self.phi.probs[x] ** n
         return p
 
+    def relabel(self, xi0: Hyperparameter) -> JointTable:
+        """The same joint under another counter start.
+
+        Shares the trajectory, probability, count and group arrays with this
+        table; only the state labels of ``marginals`` change.
+        """
+        _check_sizes(self.phi, xi0)
+        return dataclasses.replace(self, xi0=xi0, _marginals=None)
+
     # -- marginal groupings ------------------------------------------------
-    def _ensure_groups(self) -> dict:
-        if self._groups is not None:
-            return self._groups
-        count_keys = [tuple(row) for row in self.counts.tolist()]
-        lasts = [int(x) for x in self.trajectories[:, -1]]
-        probs = self.probs.tolist()
+    def _last(self) -> np.ndarray:
+        return self.trajectories[:, -1].astype(np.int64)
 
-        state: dict[tuple, list] = {}
-        prev_state: dict[tuple, list] = {}
-        last: dict[int, list] = {}
-        last_state: dict[tuple, list] = {}
-        last_prev: dict[tuple, list] = {}
-        state_pair: dict[tuple, list] = {}
-        triple: dict[tuple, list] = {}
-        prev_keys = []
-        for key, x, p in zip(count_keys, lasts, probs):
-            reduced = list(key)
-            reduced[x] -= 1
-            prev = tuple(reduced)
-            prev_keys.append(prev)
-            state.setdefault(key, []).append(p)
-            prev_state.setdefault(prev, []).append(p)
-            last.setdefault(x, []).append(p)
-            last_state.setdefault((x, key), []).append(p)
-            last_prev.setdefault((x, prev), []).append(p)
-            state_pair.setdefault((key, prev), []).append(p)
-            triple.setdefault((key, x, prev), []).append(p)
+    def _prev_counts(self) -> np.ndarray:
+        prev = self.counts.astype(np.int64)
+        prev[np.arange(len(self)), self._last()] -= 1
+        return prev
 
-        def reduce(groups: dict) -> dict:
-            return {key: math.fsum(values) for key, values in groups.items()}
-
-        self._groups = {
-            "count_keys": count_keys,
-            "prev_keys": prev_keys,
-            "lasts": lasts,
-            "probs": probs,
-            "p_state": reduce(state),
-            "p_prev": reduce(prev_state),
-            "p_last": reduce(last),
-            "p_last_state": reduce(last_state),
-            "p_last_prev": reduce(last_prev),
-            "p_state_pair": reduce(state_pair),
-            "p_triple": reduce(triple),
+    def _ensure_groups(self) -> dict[str, _Grouping]:
+        groups = self._groups
+        if groups:
+            return groups
+        radix = self.t + 1
+        fields = {
+            "state": [(column, radix) for column in self.counts.T],
+            "prev": [(column, radix) for column in self._prev_counts().T],
+            "last": [(self._last(), self.k)],
         }
-        return self._groups
+        for name, key in _MARGINAL_KEYS.items():
+            groups[name] = _group(self.probs, [column for f in key for column in fields[f]])
+        return groups
+
+    def marginals(self) -> dict[str, dict]:
+        """Every marginal of the table, keyed by realised counter states.
+
+        A state key is the exact rational vector xi0 + counts (the ``alpha``
+        of a ``Hyperparameter``), built once per group; the last observation
+        is keyed by its symbol, and joint keys are tuples in the order of
+        ``_MARGINAL_KEYS``.
+        """
+        if self._marginals is not None:
+            return self._marginals
+        groups = self._ensure_groups()
+        state, prev = groups["p_state"], groups["p_prev"]
+        last = self._last().tolist()
+        prev_counts = self._prev_counts()
+
+        def realised(rows: np.ndarray) -> list[tuple]:
+            return [add_counts(self.xi0, CountVector(row)).alpha for row in rows.tolist()]
+
+        state_names = realised(self.counts[state.rep])
+        prev_names = realised(prev_counts[prev.rep])
+        labels = {
+            "state": lambda r: state_names[state.inverse[r]],
+            "prev": lambda r: prev_names[prev.inverse[r]],
+            "last": lambda r: last[r],
+        }
+        self._marginals = {}
+        for name, key in _MARGINAL_KEYS.items():
+            grouping = groups[name]
+            table = {}
+            for row, p in zip(grouping.rep.tolist(), grouping.probs.tolist()):
+                parts = tuple(labels[f](row) for f in key)
+                table[parts if len(parts) > 1 else parts[0]] = p
+            self._marginals[name] = table
+        return self._marginals
 
 
 def build_joint(
@@ -163,13 +258,11 @@ def build_joint(
     """Enumerate all nonzero-probability trajectories of length t >= 1.
 
     Raises ``ResourceCapError`` when the enumeration would exceed ``cap``
-    trajectories, and ``InternalConsistencyError`` if the resulting
-    probabilities fail to sum to 1 within 1e-12.
+    trajectories, ``DomainError`` when a trajectory's probability underflows
+    to 0, and ``InternalConsistencyError`` if the resulting probabilities fail
+    to sum to 1 within 1e-12.
     """
-    if xi0.size != phi.size:
-        raise DomainError(
-            f"hyperparameter of size {xi0.size} does not match parameter of size {phi.size}"
-        )
+    _check_sizes(phi, xi0)
     if t < 1:
         raise DomainError(f"the joint is defined for t >= 1, got {t}")
     support = phi.support
@@ -199,6 +292,10 @@ def build_joint(
     for x in support:
         probs *= phi.probs[x] ** counts[:, x]
 
+    if not probs.all():
+        raise DomainError(
+            f"a trajectory probability of phi={phi.probs} at t={t} underflows to 0"
+        )
     total = math.fsum(probs.tolist())
     if abs(total - 1.0) > 1e-12:
         raise InternalConsistencyError(
@@ -215,46 +312,39 @@ def build_joint(
 def oracle_mutual_information(joint: JointTable, mode: Mode) -> float:
     """I(whole past : state) or I(last observation : state) by definitional sums."""
     groups = joint._ensure_groups()
-    p_state = groups["p_state"]
+    state = groups["p_state"]
     if mode == "full_past":
-        terms = []
-        for key, p in zip(groups["count_keys"], groups["probs"]):
-            # p(trajectory, state) equals p(trajectory): the state is determined.
-            p_joint = p
-            terms.append(p_joint * math.log(p_joint / (p * p_state[key])))
-        return math.fsum(terms)
+        p = joint.probs
+        # p(trajectory, state) equals p(trajectory): the state is determined.
+        p_joint = p
+        terms = p_joint * np.log(p_joint / (p * state.probs[state.inverse]))
+        return math.fsum(terms.tolist())
     if mode == "one_step":
-        p_last = groups["p_last"]
-        terms = []
-        for (x, key), p_joint in groups["p_last_state"].items():
-            terms.append(p_joint * math.log(p_joint / (p_last[x] * p_state[key])))
-        return math.fsum(terms)
+        pair = groups["p_last_state"]
+        p_joint = pair.probs
+        rows = pair.rep
+        terms = p_joint * np.log(p_joint / (_at(groups["p_last"], rows) * _at(state, rows)))
+        return math.fsum(terms.tolist())
     raise DomainError(f"unknown mode {mode!r}, expected 'full_past' or 'one_step'")
 
 
-def _te_simplified(groups: dict) -> float:
-    p_prev = groups["p_prev"]
-    p_pair = groups["p_state_pair"]
-    p_last_prev = groups["p_last_prev"]
-    terms = []
-    for (key, x, prev), p in groups["p_triple"].items():
-        num = p_prev[prev] * p
-        den = p_pair[(key, prev)] * p_last_prev[(x, prev)]
-        terms.append(p * math.log(num / den))
-    return math.fsum(terms)
+def _te_simplified(groups: dict[str, _Grouping]) -> float:
+    triple = groups["p_triple"]
+    p = triple.probs
+    rows = triple.rep
+    num = _at(groups["p_prev"], rows) * p
+    den = _at(groups["p_state_pair"], rows) * _at(groups["p_last_prev"], rows)
+    return math.fsum((p * np.log(num / den)).tolist())
 
 
-def _te_unsimplified(groups: dict) -> float:
-    p_prev = groups["p_prev"]
-    p_pair = groups["p_state_pair"]
-    terms = []
-    for key, prev, p in zip(groups["count_keys"], groups["prev_keys"], groups["probs"]):
-        # p(state, trajectory, previous) and p(trajectory, previous) both
-        # equal p(trajectory): the states are determined.
-        num = p_prev[prev] * p
-        den = p_pair[(key, prev)] * p
-        terms.append(p * math.log(num / den))
-    return math.fsum(terms)
+def _te_unsimplified(joint: JointTable, groups: dict[str, _Grouping]) -> float:
+    prev, pair = groups["p_prev"], groups["p_state_pair"]
+    p = joint.probs
+    # p(state, trajectory, previous) and p(trajectory, previous) both
+    # equal p(trajectory): the states are determined.
+    num = prev.probs[prev.inverse] * p
+    den = pair.probs[pair.inverse] * p
+    return math.fsum((p * np.log(num / den)).tolist())
 
 
 def oracle_transfer_entropy(joint: JointTable) -> float:
@@ -266,7 +356,7 @@ def oracle_transfer_entropy(joint: JointTable) -> float:
     """
     groups = joint._ensure_groups()
     simplified = _te_simplified(groups)
-    unsimplified = _te_unsimplified(groups)
+    unsimplified = _te_unsimplified(joint, groups)
     if abs(simplified - unsimplified) > _DSEP_TOL:
         raise InternalConsistencyError(
             f"transfer entropy against the last observation ({simplified!r}) and "
@@ -292,7 +382,8 @@ def oracle_ntic(
 def oracle_pointwise_ntic(joint: JointTable, traj: Sequence[int], mode: Mode) -> float:
     """Pointwise closure of one trajectory from the joint's marginals.
 
-    Definitional log-ratios only; no closed-form shortcuts.
+    Definitional log-ratios only; no closed-form shortcuts.  The marginals
+    are looked up by the realised counter states of the trajectory.
     """
     traj = validate_trajectory(traj, joint.k)
     if len(traj) != joint.t:
@@ -300,26 +391,23 @@ def oracle_pointwise_ntic(joint: JointTable, traj: Sequence[int], mode: Mode) ->
     p_traj = joint.prob(traj)
     if p_traj == 0.0:
         raise DomainError("trajectory has zero probability under the table's parameter")
-    groups = joint._ensure_groups()
-    c = count(traj, joint.k)
-    key = c.counts
+    marginals = joint.marginals()
+    state = add_counts(joint.xi0, count(traj, joint.k)).alpha
+    prev = add_counts(joint.xi0, count(traj[:-1], joint.k)).alpha
     x = traj[-1]
-    reduced = list(key)
-    reduced[x] -= 1
-    prev = tuple(reduced)
 
     if mode == "full_past":
         # log p(state | whole past) - log p(state)
         p_state_given_past = p_traj / p_traj  # state is determined by the past
-        mi_pw = math.log(p_state_given_past) - math.log(groups["p_state"][key])
+        mi_pw = math.log(p_state_given_past) - math.log(marginals["p_state"][state])
     elif mode == "one_step":
-        p_state_given_last = groups["p_last_state"][(x, key)] / groups["p_last"][x]
-        mi_pw = math.log(p_state_given_last) - math.log(groups["p_state"][key])
+        p_state_given_last = marginals["p_last_state"][(x, state)] / marginals["p_last"][x]
+        mi_pw = math.log(p_state_given_last) - math.log(marginals["p_state"][state])
     else:
         raise DomainError(f"unknown mode {mode!r}, expected 'full_past' or 'one_step'")
 
-    p_last_given_both = groups["p_triple"][(key, x, prev)] / groups["p_state_pair"][(key, prev)]
-    p_last_given_prev = groups["p_last_prev"][(x, prev)] / groups["p_prev"][prev]
+    p_last_given_both = marginals["p_triple"][(state, x, prev)] / marginals["p_state_pair"][(state, prev)]
+    p_last_given_prev = marginals["p_last_prev"][(x, prev)] / marginals["p_prev"][prev]
     te_pw = math.log(p_last_given_both) - math.log(p_last_given_prev)
     return mi_pw - te_pw
 
@@ -344,6 +432,9 @@ def beta_log_moment_quadrature(
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"Beta exponents must be positive, got ({a!r}, {b!r})")
+    from scipy.integrate import IntegrationWarning, quad
+    from scipy.special import betaln
+
     k0, k1, k2 = kappa
     log_norm = betaln(a, b)
     # Split each density exponent into a singular weight part in (-1, 0]
@@ -410,6 +501,8 @@ def oracle_kl_quadrature(
     """
     if xi_post.size != 2 or xi_prior.size != 2:
         raise DomainError("the quadrature oracle covers the two-symbol (Beta) case only")
+    from scipy.special import betaln
+
     a1, b1 = xi_post.as_floats()
     a0, b0 = xi_prior.as_floats()
     k0 = betaln(a0, b0) - betaln(a1, b1)

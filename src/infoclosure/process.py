@@ -14,7 +14,8 @@ Numeric conventions used throughout the package:
 * multinomial coefficients are exact arbitrary-precision integers; their
   logarithms come from the exact integer while the total is <= 64 and from
   ``log_gamma`` above that.  Whole-lattice passes take them from one table
-  of log m! with the same split (``log_factorials``);
+  of log m! with the same split, grown once per process rather than rebuilt
+  per call (``log_factorials``);
 * the count lattice of (k, t) is built once, as int64 arrays in
   lexicographic order and in blocks of at most ``LATTICE_BLOCK_ROWS`` rows
   (``count_lattice_blocks``), so memory stays bounded however large t is;
@@ -49,6 +50,10 @@ _EXACT_LOG_TOTAL = 64
 _EXACT_LOG_FACTORIALS = np.array(
     [math.log(math.factorial(m)) for m in range(_EXACT_LOG_TOTAL + 1)]
 )
+_EXACT_LOG_FACTORIALS.flags.writeable = False
+
+# log(m!) for every m below its length; ``log_factorials`` grows it.
+_log_factorial_table = _EXACT_LOG_FACTORIALS
 
 #: Most rows one block of the count lattice holds.
 LATTICE_BLOCK_ROWS = 1 << 15
@@ -300,13 +305,21 @@ def count_space_size(k: int, t: int) -> int:
 
 
 def log_factorials(n: int) -> np.ndarray:
-    """log(m!) for m = 0..n as one float array.
+    """log(m!) for m = 0..n as one read-only float array.
 
     Same split as ``log_count_cardinality``: the log of the exact integer
-    while m <= 64, ``log_gamma(m + 1)`` above.
+    while m <= 64, ``log_gamma(m + 1)`` above.  The entries come from one
+    table that grows to the largest n asked for, so each is computed once
+    per process and keeps its value bit for bit.
     """
-    large = [log_gamma(m + 1.0) for m in range(_EXACT_LOG_TOTAL + 1, n + 1)]
-    return np.concatenate((_EXACT_LOG_FACTORIALS[: n + 1], large))
+    global _log_factorial_table
+    table = _log_factorial_table
+    if n >= len(table):
+        large = [log_gamma(m + 1.0) for m in range(len(table), n + 1)]
+        table = np.concatenate((table, large))
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return table[: n + 1]
 
 
 def count_lattice_blocks(k: int, t: int) -> Iterator[np.ndarray]:

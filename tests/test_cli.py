@@ -241,3 +241,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "t,ntic,method"
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy serves only the quadrature oracle, which imports it on first use.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, infoclosure.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -4,7 +4,16 @@ import pytest
 
 import infoclosure.closure as closure
 import infoclosure.conformance as conformance
-from infoclosure import CategoricalParam, DomainError, ntic, one_step_ntic, run_conformance
+from infoclosure import (
+    CategoricalParam,
+    DomainError,
+    Hyperparameter,
+    ntic,
+    one_step_ntic,
+    run_conformance,
+)
+from infoclosure.bayes import belief_tables
+from infoclosure.closure import expectations
 
 
 class TestRunner:
@@ -98,6 +107,38 @@ class TestRunner:
                     else one_step_ntic(phi, t)
                 )
                 assert record.closed_form == expected
+
+    def test_one_joint_per_grid_point(self, monkeypatch):
+        builds = []
+        build = conformance.build_joint
+
+        def counting_build(phi, xi0, t, *args, **kwargs):
+            builds.append((phi.probs, t))
+            return build(phi, xi0, t, *args, **kwargs)
+
+        monkeypatch.setattr(conformance, "build_joint", counting_build)
+        result = run_conformance(max_k=3, max_t=8)
+        assert len(builds) == len(set(builds)) == 2 * 5 * 8
+        assert result.total == 820 and result.all_passed
+
+    def test_spread_check_can_fail(self):
+        # Negative control: the expected one-step information gain depends on
+        # the counter start, so its spread over the start grid fails the
+        # check the start-independent closure passes.
+        for k in (2, 3):
+            for probs in conformance.PHI_GRIDS[k]:
+                phi = CategoricalParam(probs)
+                for t in range(1, 9):
+                    gains = []
+                    for xi0 in conformance.XI0_GRIDS[k]:
+                        gain, _ = belief_tables(Hyperparameter(xi0), t)
+                        gains.extend(expectations(phi, t, [lambda b: gain[b.x, b.n]]))
+                    spread = max(gains) - min(gains)
+                    assert spread > conformance.XI0_SPREAD_TOL
+                    record = conformance._record(
+                        "gain_spread", {}, 0.0, spread, conformance.XI0_SPREAD_TOL
+                    )
+                    assert not record.passed
 
     def test_record_shape(self):
         record = run_conformance(max_k=2, max_t=1).records[0].to_json_dict()

@@ -219,13 +219,34 @@ class TestLattice:
                 assert all(1 <= len(b) <= rows and b.shape[1] == k for b in blocks)
                 assert [tuple(r) for b in blocks for r in b.tolist()] == sorted(compositions(k, t))
 
-    def test_log_factorials_split(self):
-        table = process.log_factorials(80)
-        for m in range(81):
+    def test_log_factorials_split(self, monkeypatch):
+        # Start from the exact part alone, so both calls below grow the table.
+        monkeypatch.setattr(process, "_log_factorial_table", process._EXACT_LOG_FACTORIALS)
+        first = process.log_factorials(80)
+        second = process.log_factorials(150)
+        assert len(first) == 81 and len(second) == 151
+        for m in range(151):
             expected = (
                 math.log(math.factorial(m)) if m <= 64 else process.log_gamma(m + 1.0)
             )
-            assert table[m] == expected
+            assert second[m] == expected
+            if m <= 80:
+                assert first[m] == expected
+        assert process.log_factorials(30).tolist() == second[:31].tolist()
+        assert not second.flags.writeable
+
+    def test_log_factorials_grow_without_recomputing(self, monkeypatch):
+        monkeypatch.setattr(process, "_log_factorial_table", process._EXACT_LOG_FACTORIALS)
+        calls = []
+
+        def counting_log_gamma(z):
+            calls.append(z)
+            return math.lgamma(z)
+
+        monkeypatch.setattr(process, "log_gamma", counting_log_gamma)
+        for n in range(1, 211):
+            process.log_factorials(n)
+        assert len(calls) == 210 - 64
 
 
 class TestExactParts:

@@ -6,17 +6,22 @@ information measures, the internal independence cross-check, and quadrature
 against exact special values.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from infoclosure import (
     CategoricalParam,
+    CountVector,
     DomainError,
     Hyperparameter,
     InternalConsistencyError,
     ResourceCapError,
+    add_counts,
     build_joint,
+    count,
+    count_entropy,
     ntic,
     one_step_ntic,
     one_step_pointwise_ntic,
@@ -73,6 +78,11 @@ class TestBuildJoint:
             assert diff == expected
             total += p
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_underflowing_row_is_refused(self):
+        # 1e-200 squared underflows to 0, which no definitional log-ratio takes.
+        with pytest.raises(DomainError):
+            build_joint(CategoricalParam((1e-200, 1.0)), XI_FLAT2, 2)
 
     def test_prob_lookup(self):
         joint = build_joint(CategoricalParam((0.2, 0.8)), XI_FLAT2, 3)
@@ -225,9 +235,89 @@ class TestInternalConsistency:
             for t in (1, 2, 4):
                 oracle_transfer_entropy(build_joint(phi, xi0, t))
 
+    def test_damaged_row_fails_the_dsep_check(self):
+        # A copy sharing the table's groups, one of whose rows no longer
+        # matches them: the per-row whole-past sum and the grouped sum part.
+        joint = build_joint(CategoricalParam((0.3, 0.7)), XI_FLAT2, 4)
+        oracle_transfer_entropy(joint)
+        probs = joint.probs.copy()
+        probs[5] *= 1.01
+        damaged = dataclasses.replace(joint, probs=probs)
+        with pytest.raises(InternalConsistencyError):
+            oracle_transfer_entropy(damaged)
+
     def test_probability_sum_guard(self):
         # A parameter at the edge of its own normalization gate drifts past
         # the joint's tighter budget once probabilities are multiplied out.
         phi = CategoricalParam((0.5, 0.5 - 9e-13))
         with pytest.raises(InternalConsistencyError):
             build_joint(phi, XI_FLAT2, 2)
+
+
+def xi0_grid(k):
+    return [Hyperparameter(v) for v in [(1,) * k, (0.5,) + (2,) * (k - 1), (10,) + (1,) * (k - 1)]]
+
+
+class TestMarginals:
+    @pytest.mark.parametrize("probs", [(0.3, 0.7), (0.2, 0.3, 0.5), (0.5, 0.0, 0.5)])
+    def test_relabel_matches_fresh_build(self, probs):
+        phi = CategoricalParam(probs)
+        k = len(probs)
+        for t in range(1, 7):
+            base = build_joint(phi, xi0_grid(k)[0], t)
+            for xi0 in xi0_grid(k):
+                relabelled = base.relabel(xi0)
+                fresh = build_joint(phi, xi0, t)
+                assert relabelled.xi0 == xi0
+                assert relabelled.marginals() == fresh.marginals()
+                for mode in ("full_past", "one_step"):
+                    assert oracle_mutual_information(relabelled, mode) == oracle_mutual_information(
+                        fresh, mode
+                    )
+                assert oracle_transfer_entropy(relabelled) == oracle_transfer_entropy(fresh)
+                # Only the labels are rebuilt: the groups are the first table's.
+                assert relabelled._ensure_groups() is base._ensure_groups()
+
+    def test_relabel_checks_sizes(self):
+        joint = build_joint(UNIFORM2, XI_FLAT2, 2)
+        with pytest.raises(DomainError):
+            joint.relabel(Hyperparameter((1, 1, 1)))
+
+    @pytest.mark.parametrize("xi0", [(1, 1, 1), (0.5, 2, 2), (10, 1, 1)])
+    def test_keys_are_realised_states(self, xi0):
+        xi0 = Hyperparameter(xi0)
+        joint = build_joint(CategoricalParam((0.2, 0.3, 0.5)), xi0, 3)
+        marginals = joint.marginals()
+        states, prevs, triples = set(), set(), set()
+        for row in joint.trajectories.tolist():
+            x = row[-1]
+            state = add_counts(xi0, count(row, 3)).alpha
+            prev = add_counts(xi0, count(row[:-1], 3)).alpha
+            states.add(state)
+            prevs.add(prev)
+            triples.add((state, x, prev))
+        assert set(marginals["p_state"]) == states
+        assert set(marginals["p_prev"]) == prevs
+        assert set(marginals["p_last"]) == {0, 1, 2}
+        assert set(marginals["p_triple"]) == triples
+        assert set(marginals["p_last_state"]) == {(x, s) for s, x, _ in triples}
+        assert set(marginals["p_last_prev"]) == {(x, p) for _, x, p in triples}
+        assert set(marginals["p_state_pair"]) == {(s, p) for s, _, p in triples}
+        for table in marginals.values():
+            assert math.fsum(table.values()) == pytest.approx(1.0, abs=1e-12)
+        # The state probability of a count vector, under its realised label.
+        c = CountVector((1, 1, 1))
+        assert marginals["p_state"][add_counts(xi0, c).alpha] == pytest.approx(6 * 0.2 * 0.3 * 0.5)
+
+    def test_long_keys_are_reranked(self):
+        # 50 symbols at t=2: a mixed-radix code of radix 3 reaches 2 * 3^49,
+        # far beyond 64 bits.
+        phi = CategoricalParam((1 / 50,) * 50)
+        joint = build_joint(phi, Hyperparameter((1,) * 50), 2)
+        states = list(joint.marginals()["p_state"])
+        assert len(states) == 50 * 51 // 2
+        # Groups come in ascending key order, which a wrapped code would scramble.
+        assert states == sorted(states)
+        assert oracle_mutual_information(joint, "full_past") == pytest.approx(
+            count_entropy(phi, 2), abs=1e-12
+        )
