@@ -1,5 +1,6 @@
 """Checks for the command-line interface: formats, determinism, exit codes."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -7,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,7 +245,6 @@ class TestEntryPoint:
         assert proc.stdout.splitlines()[0] == "t,ntic,method"
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy serves only the quadrature oracle, which imports it on first use.
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, infoclosure.cli; print('scipy' in sys.modules)"],
             capture_output=True,
@@ -251,3 +252,29 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_conformance_leaves_scipy_unloaded(self):
+        # The quadrature oracle runs here, and it is numpy alone.
+        script = (
+            "import contextlib, io, sys, infoclosure.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    rc = infoclosure.cli.main(['conformance', '--max-k', '2', '--max-t', '2'])\n"
+            "print(rc, 'scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+
+    def test_package_source_never_imports_scipy(self):
+        package = Path(cli.__file__).parent
+        sources = sorted(package.glob("*.py"))
+        assert len(sources) >= 10
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, node.lineno)

@@ -2,13 +2,15 @@
 
 The oracles are ground truth for everything else, so they get their own
 direct scrutiny: hand-counted joint tables, textbook values of the component
-information measures, the internal independence cross-check, and quadrature
-against exact special values.
+information measures, the internal independence cross-check and the limit of
+its reach, and quadrature against exact special values and against mpmath at
+50 digits.
 """
 
 import dataclasses
 import math
 
+import mpmath
 import pytest
 
 from infoclosure import (
@@ -17,6 +19,7 @@ from infoclosure import (
     DomainError,
     Hyperparameter,
     InternalConsistencyError,
+    QuadratureError,
     ResourceCapError,
     add_counts,
     build_joint,
@@ -34,6 +37,8 @@ from infoclosure import (
     pointwise_ntic,
     symbol_entropy,
 )
+from infoclosure.conformance import KL_COUNT_GRID, XI0_GRIDS
+from infoclosure.oracle import beta_log_moment_quadrature
 
 UNIFORM2 = CategoricalParam((0.5, 0.5))
 XI_FLAT2 = Hyperparameter((1, 1))
@@ -224,6 +229,79 @@ class TestQuadrature:
     def test_expected_log_predictive_point_mass(self):
         assert oracle_expected_log_predictive(Hyperparameter((3,)), 0) == 0.0
 
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-0.5, 2.0), (2.0, -3.0), (math.nan, 1.0)])
+    def test_exponents_must_be_positive(self, a, b):
+        with pytest.raises(DomainError):
+            beta_log_moment_quadrature(a, b, (0.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("a,b", [(1e7, 1e7), (1e7, 3e7)])
+    def test_unresolved_peak_is_refused(self, a, b):
+        # The peak is far narrower than the finest step: on (1e7, 1e7) the
+        # coarse levels agree exactly, because one node sits on the peak, and
+        # on (1e7, 3e7) every coarse node misses it.  Only the density's mass
+        # shows either.
+        with pytest.raises(QuadratureError, match="error estimate"):
+            beta_log_moment_quadrature(a, b, (0.0, 1.0, 0.0), abs_tol=1e-10)
+
+
+def mpmath_log_moments(a, b, kappa):
+    """k0 + k1 E[ln x] + k2 E[ln(1-x)] under Beta(a, b), at 50 digits."""
+    k0, k1, k2 = kappa
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        total = mpmath.digamma(a + b)
+        return float(k0 + k1 * (mpmath.digamma(a) - total) + k2 * (mpmath.digamma(b) - total))
+
+
+def mpmath_beta_kl(post, prior):
+    (a1, b1), (a0, b0) = post, prior
+    with mpmath.workdps(50):
+        k0 = mpmath.log(mpmath.beta(a0, b0) / mpmath.beta(a1, b1))
+        return mpmath_log_moments(a1, b1, (k0, a1 - a0, b1 - b0))
+
+
+def kl_grid():
+    for xi0 in XI0_GRIDS[2]:
+        for counts in KL_COUNT_GRID:
+            yield xi0, tuple(x + c for x, c in zip(xi0, counts))
+
+
+SUB_UNIT = [(0.5, 0.5), (0.05, 0.05), (0.05, 0.5), (0.5, 3.0), (20.0, 0.05)]
+LARGE = [(1e3, 1e3), (1e3, 1e4), (1e4, 1e4), (1e4, 2.5), (0.5, 5e3)]
+
+
+class TestQuadratureAccuracy:
+    """The tanh-sinh rule against mpmath at 50 digits, to 1e-12 absolute."""
+
+    @pytest.mark.parametrize("xi0,post", list(kl_grid()))
+    def test_conformance_grid_kl(self, xi0, post):
+        reference = mpmath_beta_kl(post, xi0)
+        value = oracle_kl_quadrature(Hyperparameter(post), Hyperparameter(xi0), abs_tol=1e-10)
+        assert abs(value - reference) <= 1e-12
+        a0, b0 = xi0
+        a1, b1 = post
+        kappa = (math.log(2.5), a1 - a0, b1 - b0)
+        assert abs(
+            beta_log_moment_quadrature(a1, b1, kappa, abs_tol=1e-10) - mpmath_log_moments(a1, b1, kappa)
+        ) <= 1e-12
+
+    @pytest.mark.parametrize("xi0,post", list(kl_grid()))
+    def test_conformance_grid_expected_log_predictive(self, xi0, post):
+        xi = Hyperparameter(post)
+        a, b = post
+        for x, kappa in ((0, (0.0, 1.0, 0.0)), (1, (0.0, 0.0, 1.0))):
+            reference = mpmath_log_moments(a, b, kappa)
+            assert abs(oracle_expected_log_predictive(xi, x) - reference) <= 1e-12
+
+    @pytest.mark.parametrize("a,b", SUB_UNIT + LARGE)
+    def test_sub_unit_and_large_exponents(self, a, b):
+        for kappa in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.25, -1.5, 2.0)):
+            value = beta_log_moment_quadrature(a, b, kappa, abs_tol=1e-10)
+            assert abs(value - mpmath_log_moments(a, b, kappa)) <= 1e-12
+        xi = Hyperparameter((a, b))
+        for x, kappa in ((0, (0.0, 1.0, 0.0)), (1, (0.0, 0.0, 1.0))):
+            assert abs(oracle_expected_log_predictive(xi, x) - mpmath_log_moments(a, b, kappa)) <= 1e-12
+
 
 class TestInternalConsistency:
     def test_dsep_check_runs_clean_on_grid(self):
@@ -245,6 +323,19 @@ class TestInternalConsistency:
         damaged = dataclasses.replace(joint, probs=probs)
         with pytest.raises(InternalConsistencyError):
             oracle_transfer_entropy(damaged)
+
+    def test_damaged_row_on_fresh_groups_passes_the_dsep_check(self):
+        # The check's limit: for this deterministic counter the triple,
+        # (state, previous) and (last, previous) partitions coincide, so the
+        # grouped and whole-past sums agree for any row probabilities once the
+        # groups are recomputed from the damaged rows.
+        joint = build_joint(CategoricalParam((0.3, 0.7)), XI_FLAT2, 4)
+        probs = joint.probs.copy()
+        probs[5] *= 1.01
+        regrouped = dataclasses.replace(joint, probs=probs, _groups={})
+        damaged = oracle_transfer_entropy(regrouped)
+        assert damaged != oracle_transfer_entropy(joint)
+        assert damaged == pytest.approx(0.611, abs=1e-3)
 
     def test_probability_sum_guard(self):
         # A parameter at the edge of its own normalization gate drifts past
