@@ -41,9 +41,10 @@ from .bayes import (
     one_step_info_gain_from_count,
 )
 from .closure import (
-    count_surprisal,
-    expectations,
-    log_relative_frequency,
+    count_entropy_from_weights,
+    expectation,
+    last_count_weights,
+    one_step_ntic_from_weights,
     pointwise_ntic_from_count,
     symbol_entropy,
 )
@@ -292,17 +293,20 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _curve_exact_row(config: RunConfig, t: int) -> dict:
-    """One pass over count space gives every requested quantity."""
-    quantities = [q for q in CURVE_QUANTITIES if q in config.quantities]
-    values = {"ntic": count_surprisal, "one_step_ntic": log_relative_frequency}
+    """One last-count table gives every requested quantity."""
+    quantities = config.quantities
+    weights = last_count_weights(config.phi, t)
+    row: dict = {"t": t}
+    if "ntic" in quantities:
+        entropy = count_entropy_from_weights(config.phi, weights)
+        row["ntic"] = entropy - symbol_entropy(config.phi)
+    if "one_step_ntic" in quantities:
+        row["one_step_ntic"] = one_step_ntic_from_weights(weights)
     if "info_gain" in quantities or "surprise" in quantities:
         gain, surprise = belief_tables(config.xi0, t)
-        values["info_gain"] = lambda block: gain[block.x, block.n]
-        values["surprise"] = lambda block: surprise[block.x, block.n]
-    sums = expectations(config.phi, t, [values[q] for q in quantities])
-    row: dict = {"t": t, **dict(zip(quantities, sums))}
-    if "ntic" in row:
-        row["ntic"] -= symbol_entropy(config.phi)  # count entropy minus symbol entropy
+        for quantity, table in (("info_gain", gain), ("surprise", surprise)):
+            if quantity in quantities:
+                row[quantity] = expectation(weights, table)
     row["method"] = "exact"
     return row
 

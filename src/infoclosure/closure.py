@@ -15,22 +15,22 @@ to count combinatorics:
   trajectory distribution.
 
 Every expected quantity is an expectation over the joint distribution of
-(count vector, last symbol), which lives on count space (polynomial in t for
-fixed alphabet size) instead of trajectory space (exponential).  The grouping
-that makes this possible -- a fraction c_x / t of the trajectories with count
-c end in symbol x, so p(c, x) = p(c) * c_x / t -- is validated against full
-trajectory enumeration by the tests.
+(count vector, last symbol).  By exchangeability a fraction c_x / t of the
+trajectories with count c end in symbol x, so p(c, x) = p(c) * c_x / t; the
+tests validate this grouping against full trajectory enumeration, and
+``count_last_distribution`` walks it one pair at a time.
 
-``count_last_blocks`` is the one kernel over count space.  It walks the
-lattice of ``process.count_lattice_blocks`` block by block, takes every log
-multinomial from one ``process.log_factorials`` table, and yields numpy
-arrays of the (state, last symbol) pairs.  ``expectations`` reduces any
-number of per-pair values over one pass of it, each with exactly rounded
-``math.fsum`` arithmetic carried across the blocks, so a result does not
-depend on the block size or the enumeration order.  ``count_entropy``,
-``one_step_ntic``, the conformance grid and the CLI's curve rows are all
-built on it; ``count_last_distribution`` is a per-pair view of the same
-kernel.
+The exact rows need less than that joint.  The one-step closure and the
+belief-layer quantities depend on a pair only through (x, c_x), and the
+count entropy is linear in the per-symbol log c_x!.  So every expected
+quantity at time t is a sum over one table, ``last_count_weights``:
+w[x, n] = p(last symbol = x, c_x = n), K binomial rows of length t + 1,
+where count space has O(t^(K-1)) points.  ``expectation`` reduces the table
+against a per-(x, n) value, ``count_entropy_from_weights`` turns it into the
+count entropy, centred so that no weight multiplies a term of size t log t,
+and each result is one exactly rounded ``math.fsum``, independent of the
+summation order.  ``count_entropy``, ``ntic``, ``one_step_ntic``, the
+conformance closed forms and the CLI's exact curve rows are all built on it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,8 +49,8 @@ from .process import (
     CountVector,
     count,
     count_log_prob,
-    count_lattice_blocks,
     count_space_size,
+    enumerate_counts,
     log_factorials,
     symbol_prob,
     validate_trajectory,
@@ -58,6 +58,11 @@ from .process import (
 
 #: Default cap on the number of count vectors an exact enumeration may visit.
 DEFAULT_COUNT_CAP = 10**7
+
+#: Most entries, K * (t + 1), one ``last_count_weights`` table may hold: 32 MB
+#: of float64, twice the largest table an exact ``curve`` row builds
+#: (K = 2, t < 10**6).
+TABLE_TERM_CAP = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -99,117 +104,115 @@ def _check_count_cap(k: int, t: int, cap: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The count-space kernel
+# The per-row table
 # ---------------------------------------------------------------------------
 
 
-class PairBlock(NamedTuple):
-    """One block of the joint distribution of (count vector, last symbol).
+def last_count_weights(phi: CategoricalParam, t: int) -> np.ndarray:
+    """p(last symbol = x, c_x = n) for length-t trajectories, as a (K, t + 1) array.
 
-    ``counts`` holds the block's count vectors of positive probability, one
-    per row.  The other arrays have one entry per (state, last symbol) pair
-    with c_x >= 1, in row order and by ascending symbol within a row.
+    Given that the last symbol is x, the other t - 1 symbols hold c_x - 1
+    copies of it, a Binomial(t - 1, phi_x) count, so entry [x, n] is
+    phi_x * Binom(n - 1; t - 1, phi_x) and column 0 is 0.  Each weight is the
+    exp of a log-binomial pmf whose factorials come from ``log_factorials``.
+    Raises ``ResourceCapError``, before anything is allocated, when the
+    table would hold more than ``TABLE_TERM_CAP`` entries.
     """
+    if t < 1:
+        raise DomainError(f"need t >= 1, got {t}")
+    size = phi.size * (t + 1)
+    if size > TABLE_TERM_CAP:
+        raise ResourceCapError(
+            f"the last-count table for k={phi.size}, t={t} has {size} entries, "
+            f"exceeding the cap of {TABLE_TERM_CAP}; use Monte Carlo mode (sampled "
+            f"trajectories with plug-in pointwise estimates)"
+        )
+    log_fact = log_factorials(t)
+    n = np.arange(1, t + 1)
+    log_binom = log_fact[t - 1] - log_fact[n - 1] - log_fact[t - n]
+    weights = np.zeros((phi.size, t + 1))
+    for x, p in enumerate(phi.probs):
+        if p == 1.0:
+            weights[x, t] = 1.0  # log1p(-p) would be -inf
+        elif p > 0.0:
+            row = np.exp(log_binom + n * math.log(p) + (t - n) * math.log1p(-p))
+            # The row sums to phi_x; rescaling it to that sum cancels the
+            # rounding of log (t - 1)!, which every entry shares.
+            weights[x, 1:] = row * (p / math.fsum(row.tolist()))
+    return weights
 
-    t: int
-    counts: np.ndarray  # (states, K) int64
-    state: np.ndarray  # row of ``counts`` the pair belongs to
-    x: np.ndarray  # last symbol
-    n: np.ndarray  # c_x, at least 1
-    p: np.ndarray  # p(c, x) = p(c) * c_x / t
-    log_pc: np.ndarray  # log p(c)
+
+def expectation(weights: np.ndarray, values: np.ndarray) -> float:
+    """Expectation of a per-(last symbol, count) value under a ``last_count_weights`` table.
+
+    The sum of weights[x, n] * values[x, n] over every x and n >= 1, exactly
+    rounded.  ``values`` is a (K, t + 1) array such as a ``bayes.belief_tables``
+    table, or one (t + 1,) row shared by every symbol; its column 0 (a count
+    the last symbol cannot have) is never read.
+    """
+    return math.fsum((weights[:, 1:] * values[..., 1:]).ravel().tolist())
 
 
-def count_last_blocks(
+def count_entropy_from_weights(phi: CategoricalParam, weights: np.ndarray) -> float:
+    """Count entropy (nats) at the t of a ``last_count_weights(phi, t)`` table.
+
+    -log p(c) = -log t! + sum_x (log c_x! - c_x log phi_x), and c_x is
+    Binomial(t, phi_x), whose pmf is (t / n) * weights[x, n] for n >= 1 and
+    (1 - phi_x)^t at 0.  Weighing log n! by that pmf directly would scale
+    each rounding of the pmf by a term of size t log t, while the entropy is
+    of size log t.  So log n! is centred on the secant L through
+    m = floor(t phi_x) and m + 1: the mean of L is known exactly,
+    log m! + log(m + 1) * (t phi_x - m), and the pmf only weighs
+    log n! - L(n), which is small where the pmf is not.
+    """
+    t = weights.shape[1] - 1
+    log_fact = log_factorials(t)
+    n = np.arange(t + 1)
+    terms = [-log_fact[t]]
+    for x, p in enumerate(phi.probs):
+        if p == 0.0:
+            continue  # c_x is 0 on every trajectory
+        num, den = p.as_integer_ratio()  # t * phi_x = t * num / den exactly
+        m = t * num // den
+        slope = math.log(m + 1)
+        binom = np.empty(t + 1)
+        binom[0] = math.exp(t * math.log1p(-p)) if p < 1.0 else 0.0
+        binom[1:] = t / n[1:] * weights[x, 1:]
+        terms += [log_fact[m], slope * ((t * num - m * den) / den), -t * p * math.log(p)]
+        terms += (binom * (log_fact - log_fact[m] - slope * (n - m))).tolist()
+    return math.fsum(terms)
+
+
+def one_step_ntic_from_weights(weights: np.ndarray) -> float:
+    """Expected one-step closure from a ``last_count_weights`` table: E[log(c_x / t)]."""
+    t = weights.shape[1] - 1
+    log_frequency = np.zeros(t + 1)
+    log_frequency[1:] = np.log(np.arange(1, t + 1) / t)
+    return expectation(weights, log_frequency)
+
+
+def count_last_distribution(
     phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP
-) -> Iterator[PairBlock]:
-    """The joint distribution of (count vector, last symbol) for length-t trajectories.
+) -> Iterator[tuple[CountVector, int, float, float]]:
+    """The joint distribution of (count vector, last symbol), one pair at a time.
 
-    Count vectors with a count on a zero-probability symbol are dropped
-    before any logarithm is taken.  log p(c) is the log multinomial pmf,
-    log t! - sum_x log c_x! + sum_x c_x log phi_x, with the factorials taken
-    from ``log_factorials(t)``; the sums run over the symbols in order.
-    Trajectories are grouped rather than enumerated: by exchangeability a
+    Yields ``(c, x, p, log_pc)`` for every count vector c of positive
+    probability, in ``enumerate_counts`` order, and every symbol x with
+    c_x >= 1, by ascending x.  ``log_pc`` is ``count_log_prob(phi, c)`` and
+    ``p`` = p(c) * c_x / t the probability of (c, x): by exchangeability a
     fraction c_x / t of the trajectories with count c end in x.  Raises
     ``ResourceCapError`` when the count space exceeds ``cap``.
     """
     if t < 1:
         raise DomainError(f"need t >= 1, got {t}")
     _check_count_cap(phi.size, t, cap)
-    log_fact = log_factorials(t)
-    impossible = np.array([p == 0.0 for p in phi.probs])
-    log_phi = [math.log(p) if p > 0.0 else 0.0 for p in phi.probs]
-    for counts in count_lattice_blocks(phi.size, t):
-        counts = counts[~counts[:, impossible].any(axis=1)]
-        columns = counts.T
-        log_card = log_fact[t] - sum(log_fact[column] for column in columns)
-        log_pc = log_card + sum(column * lp for column, lp in zip(columns, log_phi))
-        state, x = np.nonzero(counts)
-        n = counts[state, x]
-        yield PairBlock(t, counts, state, x, n, np.exp(log_pc)[state] * n / t, log_pc[state])
-
-
-def _exact_parts(terms: list[float]) -> list[float]:
-    """A few floats whose exact sum is the exact sum of ``terms``.
-
-    Each part is the exactly rounded remainder the parts before it leave,
-    so the list ends once a remainder is exactly zero (or not finite).
-    """
-    parts: list[float] = []
-    while (rest := math.fsum(terms + [-part for part in parts])) != 0.0:
-        parts.append(rest)
-        if not math.isfinite(rest):
-            break
-    return parts
-
-
-def expectations(
-    phi: CategoricalParam,
-    t: int,
-    values: Sequence[Callable[[PairBlock], np.ndarray]],
-    cap: int = DEFAULT_COUNT_CAP,
-) -> list[float]:
-    """Expectations under p(c, x) of per-pair values, all from one kernel pass.
-
-    Each callable maps a ``PairBlock`` to one value per pair; its result is
-    sum p(c, x) * value over every pair, exactly rounded.  The terms of
-    earlier blocks are carried forward as their ``_exact_parts``, so each
-    result equals one ``math.fsum`` over all its terms whatever the blocking,
-    and memory stays bounded by a block.
-    """
-    terms: list[list[float]] = [[] for _ in values]
-    for block in count_last_blocks(phi, t, cap):
-        for i, value in enumerate(values):
-            terms[i] = _exact_parts(terms[i]) + (block.p * value(block)).tolist()
-    return [math.fsum(block_terms) for block_terms in terms]
-
-
-def count_surprisal(block: PairBlock) -> np.ndarray:
-    """-log p(c) of each pair; its expectation is the count entropy."""
-    return -block.log_pc
-
-
-def log_relative_frequency(block: PairBlock) -> np.ndarray:
-    """log(c_x / t) of each pair: the one-step pointwise closure."""
-    return np.log(block.n / block.t)
-
-
-def count_last_distribution(
-    phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP
-) -> Iterator[tuple[CountVector, int, float, float]]:
-    """Per-pair view of ``count_last_blocks``.
-
-    Yields ``(c, x, p, log_pc)`` for every count vector c of positive
-    probability and every symbol x with c_x >= 1, where ``log_pc`` is the
-    log multinomial probability of c and ``p`` = p(c) * c_x / t the
-    probability of (c, x).
-    """
-    for block in count_last_blocks(phi, t, cap):
-        states = [CountVector(tuple(row)) for row in block.counts.tolist()]
-        for row, x, p, log_pc in zip(
-            block.state.tolist(), block.x.tolist(), block.p.tolist(), block.log_pc.tolist()
-        ):
-            yield states[row], x, p, log_pc
+    for c in enumerate_counts(phi.size, t):
+        log_pc = count_log_prob(phi, c)
+        if log_pc == NEG_INFINITY:
+            continue
+        for x, n in enumerate(c.counts):
+            if n > 0:
+                yield c, x, math.exp(log_pc) * n / t, log_pc
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +225,16 @@ def symbol_entropy(phi: CategoricalParam) -> float:
     return -math.fsum(p * math.log(p) for p in phi.probs if p > 0.0)
 
 
-def count_entropy(phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP) -> float:
+def count_entropy(phi: CategoricalParam, t: int) -> float:
     """Entropy (nats) of the count vector of a length-t trajectory.
 
-    The expectation of ``count_surprisal``; raises ``ResourceCapError``
-    when the count space exceeds ``cap``.
+    ``count_entropy_from_weights`` over ``last_count_weights(phi, t)``.
     """
     if t < 0:
         raise DomainError(f"time index must be >= 0, got {t}")
     if t == 0:
         return 0.0  # the empty trajectory's count is certain
-    return expectations(phi, t, [count_surprisal], cap)[0]
+    return count_entropy_from_weights(phi, last_count_weights(phi, t))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,7 @@ def count_entropy(phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP) -
 # ---------------------------------------------------------------------------
 
 
-def ntic(phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP) -> NticReport:
+def ntic(phi: CategoricalParam, t: int) -> NticReport:
     """Expected full-past closure at time t >= 1.
 
     The mutual-information term is the count entropy, the transfer-entropy
@@ -249,7 +251,7 @@ def ntic(phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP) -> NticRep
     """
     if t < 1:
         raise DomainError(f"closure is defined for t >= 1, got {t}")
-    mi = count_entropy(phi, t, cap=cap)
+    mi = count_entropy(phi, t)
     te = symbol_entropy(phi)
     return NticReport(t=t, value=mi - te, mi_term=mi, te_term=te)
 
@@ -299,15 +301,17 @@ def one_step_pointwise_ntic(traj: Sequence[int]) -> float:
     return math.log(traj.count(traj[-1]) / len(traj))
 
 
-def one_step_ntic(phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP) -> float:
+def one_step_ntic(phi: CategoricalParam, t: int) -> float:
     """Expected one-step closure at time t >= 1 (nats).
 
     Expectation of ``one_step_pointwise_ntic`` under the trajectory
-    distribution: the expectation of ``log_relative_frequency``.
+    distribution, which depends on a trajectory only through its last
+    symbol x and c_x: ``one_step_ntic_from_weights`` over
+    ``last_count_weights(phi, t)``.
     """
     if t < 1:
         raise DomainError(f"closure is defined for t >= 1, got {t}")
-    return expectations(phi, t, [log_relative_frequency], cap)[0]
+    return one_step_ntic_from_weights(last_count_weights(phi, t))
 
 
 def empirical_distribution(traj: Sequence[int], k: int | None = None) -> EmpiricalDistribution:

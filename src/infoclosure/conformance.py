@@ -18,7 +18,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bayes import full_past_info_gain
-from .closure import count_surprisal, expectations, log_relative_frequency, symbol_entropy
+from .closure import (
+    count_entropy_from_weights,
+    last_count_weights,
+    one_step_ntic_from_weights,
+    symbol_entropy,
+)
 from .errors import DomainError, ResourceCapError
 from .oracle import (
     DEFAULT_JOINT_CAP,
@@ -124,9 +129,10 @@ def _ntic_point(args) -> tuple[list[ConformanceRecord], list[str]]:
     records: list[ConformanceRecord] = []
     warns: list[str] = []
 
-    # Both closed forms from one pass: ntic's count entropy and one_step_ntic.
-    count_entropy, closed_one = expectations(phi, t, [count_surprisal, log_relative_frequency])
-    closed_full = count_entropy - symbol_entropy(phi)
+    # Both closed forms from one last-count table: ntic's count entropy and one_step_ntic.
+    weights = last_count_weights(phi, t)
+    closed_full = count_entropy_from_weights(phi, weights) - symbol_entropy(phi)
+    closed_one = one_step_ntic_from_weights(weights)
 
     # One enumeration of the joint per (phi, t), relabelled for each start.
     joint = None

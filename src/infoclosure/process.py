@@ -13,12 +13,12 @@ Numeric conventions used throughout the package:
   exactly zero is represented by ``NEG_INFINITY``;
 * multinomial coefficients are exact arbitrary-precision integers; their
   logarithms come from the exact integer while the total is <= 64 and from
-  ``log_gamma`` above that.  Whole-lattice passes take them from one table
-  of log m! with the same split, grown once per process rather than rebuilt
-  per call (``log_factorials``);
-* the count lattice of (k, t) is built once, as int64 arrays in
-  lexicographic order and in blocks of at most ``LATTICE_BLOCK_ROWS`` rows
-  (``count_lattice_blocks``), so memory stays bounded however large t is;
+  ``log_gamma`` above that.  The per-row binomial tables of the closed forms
+  take them from one table of log m! with the same split, grown once per
+  process rather than rebuilt per call (``log_factorials``);
+* count space is walked one ``CountVector`` at a time, in lexicographic
+  order (``enumerate_counts``); no closed form needs it, only the views and
+  checks that look at single states;
 * concentration vectors store exact rationals so that one-hot updates, batch
   updates, and posterior construction agree to the bit, not merely to a
   tolerance (repeated float ``+1.0`` provably drifts from a single ``+n``).
@@ -54,9 +54,6 @@ _EXACT_LOG_FACTORIALS.flags.writeable = False
 
 # log(m!) for every m below its length; ``log_factorials`` grows it.
 _log_factorial_table = _EXACT_LOG_FACTORIALS
-
-#: Most rows one block of the count lattice holds.
-LATTICE_BLOCK_ROWS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -322,36 +319,19 @@ def log_factorials(n: int) -> np.ndarray:
     return table[: n + 1]
 
 
-def count_lattice_blocks(k: int, t: int) -> Iterator[np.ndarray]:
-    """Every nonnegative k-vector summing to t, as int64 arrays of shape (rows, k).
+def enumerate_counts(k: int, t: int) -> Iterator[CountVector]:
+    """Yield every nonnegative k-vector summing to t, each exactly once.
 
-    Rows run in lexicographically ascending order across the blocks, each
-    block holding at most ``LATTICE_BLOCK_ROWS`` rows; there are
-    ``count_space_size(k, t)`` rows in all.  A composition is read off the
+    Lexicographically ascending, ``count_space_size(k, t)`` elements
+    (compositions of t into k parts).  A composition is read off the
     positions of k - 1 bars among t + k - 1 slots, and ``combinations``
     yields those positions in the same lexicographic order.
     """
     if k < 1 or t < 0:
         raise DomainError(f"need k >= 1 and t >= 0, got k={k}, t={t}")
-    bars = itertools.combinations(range(t + k - 1), k - 1)
-    while True:
-        chunk = list(itertools.islice(bars, LATTICE_BLOCK_ROWS))
-        if not chunk:
-            return
-        positions = np.array(chunk, dtype=np.int64)  # shape (rows, k - 1)
-        yield np.diff(positions, axis=1, prepend=-1, append=t + k - 1) - 1
-
-
-def enumerate_counts(k: int, t: int) -> Iterator[CountVector]:
-    """Yield every nonnegative k-vector summing to t, each exactly once.
-
-    One ``CountVector`` per row of ``count_lattice_blocks``: lexicographically
-    ascending, ``count_space_size(k, t)`` elements (compositions of t into k
-    parts).
-    """
-    for block in count_lattice_blocks(k, t):
-        for row in block.tolist():
-            yield CountVector(tuple(row))
+    for bars in itertools.combinations(range(t + k - 1), k - 1):
+        edges = (-1, *bars, t + k - 1)
+        yield CountVector(tuple(right - left - 1 for left, right in zip(edges, edges[1:])))
 
 
 # ---------------------------------------------------------------------------

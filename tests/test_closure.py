@@ -7,6 +7,7 @@ count space, so expectation identities are genuine two-route comparisons.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -91,8 +92,33 @@ class TestCountEntropy:
         assert expected == pytest.approx(1.5 * math.log(2), abs=1e-15)
 
     def test_resource_cap(self):
+        # Refused from K * (t + 1) alone, before a table or log-factorial is built.
         with pytest.raises(ResourceCapError, match="Monte Carlo"):
-            count_entropy(CategoricalParam((0.5, 0.5)), 100, cap=10)
+            count_entropy(CategoricalParam((0.5, 0.5)), 10**9)
+
+    @pytest.mark.parametrize("probs", [(0.1, 0.9), (0.5, 0.5), (0.01, 0.99)])
+    def test_matches_mpmath_at_large_t(self, probs):
+        # Uncentred and over unrescaled table rows, -log t! + t H(phi) +
+        # sum_x E[log C_x!] is off by 3.9e-12 relative at t = 120, phi = (0.1, 0.9).
+        phi = CategoricalParam(probs)
+        for t in (60, 120, 200):
+            with mpmath.workdps(50):
+                p, q = (mpmath.mpf(v) for v in probs)
+                pmf = [mpmath.binomial(t, n) * p**n * q ** (t - n) for n in range(t + 1)]
+                reference = -mpmath.fsum(w * mpmath.log(w) for w in pmf)
+            assert count_entropy(phi, t) == pytest.approx(float(reference), rel=1e-13, abs=0.0), t
+
+
+class TestDeterministic:
+    @pytest.mark.parametrize("probs", [(1.0, 0.0), (0.0, 1.0, 0.0)])
+    def test_closure_is_exactly_zero_past_the_log_gamma_switch(self, probs):
+        # log1p(-phi_x) is -inf for phi_x = 1, and 0 * -inf would be NaN.
+        phi = CategoricalParam(probs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in range(1, 201):
+                assert ntic(phi, t).value == 0.0, t
+                assert one_step_ntic(phi, t) == 0.0, t
 
 
 class TestNtic:
@@ -195,6 +221,24 @@ class TestOneStepNtic:
         for phi in PHI_GRID:
             assert one_step_ntic(phi, 1) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "probs", [(0.1, 0.9), (0.3, 0.7), (0.5, 0.5), (0.01, 0.99), (0.45, 0.55)]
+    )
+    def test_matches_mpmath_at_large_t(self, probs):
+        # Rescaling each table row to sum to phi_x keeps this within 1.1e-14;
+        # unrescaled rows reach 7.9e-14 here.
+        phi = CategoricalParam(probs)
+        for t in (60, 120, 200):
+            with mpmath.workdps(50):
+                p = [mpmath.mpf(v) for v in probs]
+                reference = mpmath.fsum(
+                    p[x] * mpmath.binomial(t - 1, n - 1) * p[x] ** (n - 1) * p[1 - x] ** (t - n)
+                    * mpmath.log(mpmath.mpf(n) / t)
+                    for x in (0, 1)
+                    for n in range(1, t + 1)
+                )
+            assert one_step_ntic(phi, t) == pytest.approx(float(reference), rel=3e-14, abs=0.0), t
+
     def test_fair_pair_value(self):
         # Brute force over the four length-2 trajectories gives -0.5 ln 2.
         assert one_step_ntic(CategoricalParam((0.5, 0.5)), 2) == pytest.approx(
@@ -227,7 +271,6 @@ class TestCountLastDistribution:
         grouped = {}
         for c, x, p, log_pc in count_last_distribution(phi, t):
             grouped[(c.counts, x)] = p
-            # log p(c) comes from a log-factorial table, not count_log_prob.
             assert log_pc == pytest.approx(mpmath_log_multinomial(phi, c.counts), abs=1e-13)
         assert set(grouped) == set(brute)
         for key, p in grouped.items():

@@ -2,7 +2,6 @@
 
 import pytest
 
-import infoclosure.closure as closure
 import infoclosure.conformance as conformance
 from infoclosure import (
     CategoricalParam,
@@ -13,7 +12,7 @@ from infoclosure import (
     run_conformance,
 )
 from infoclosure.bayes import belief_tables
-from infoclosure.closure import expectations
+from infoclosure.closure import expectation, last_count_weights
 
 
 class TestRunner:
@@ -85,17 +84,16 @@ class TestRunner:
         assert result.all_passed
 
     def test_one_kernel_pass_per_grid_point(self, monkeypatch):
-        passes = []
-        kernel = closure.count_last_blocks
+        tables = []
 
-        def counting_kernel(phi, t, *args):
-            passes.append((phi.probs, t))
-            return kernel(phi, t, *args)
+        def counting_table(phi, t):
+            tables.append((phi.probs, t))
+            return last_count_weights(phi, t)
 
-        monkeypatch.setattr(closure, "count_last_blocks", counting_kernel)
+        monkeypatch.setattr(conformance, "last_count_weights", counting_table)
         result = run_conformance(max_k=2, max_t=3)
-        assert len(passes) == len(set(passes)) == 5 * 3
-        # The shared pass gives the same closed forms as the two functions.
+        assert len(tables) == len(set(tables)) == 5 * 3
+        # The shared table gives the same closed forms as the two functions.
         monkeypatch.undo()
         for record in result.records:
             context = record.context
@@ -129,10 +127,11 @@ class TestRunner:
             for probs in conformance.PHI_GRIDS[k]:
                 phi = CategoricalParam(probs)
                 for t in range(1, 9):
+                    weights = last_count_weights(phi, t)
                     gains = []
                     for xi0 in conformance.XI0_GRIDS[k]:
                         gain, _ = belief_tables(Hyperparameter(xi0), t)
-                        gains.extend(expectations(phi, t, [lambda b: gain[b.x, b.n]]))
+                        gains.append(expectation(weights, gain))
                     spread = max(gains) - min(gains)
                     assert spread > conformance.XI0_SPREAD_TOL
                     record = conformance._record(

@@ -1,9 +1,10 @@
-"""Checks for the array count-space kernel and the per-(symbol, count) belief tables.
+"""Checks for the per-row last-count table and the per-(symbol, count) belief tables.
 
-The kernel (``closure.count_last_blocks``) walks the count lattice in numpy
-blocks; exact curve rows reduce it against tables from ``bayes.belief_tables``.
-The references below walk count space one state at a time with the scalar
-functions, or with mpmath at 50 digits, and share no array code with it.
+Exact curve rows reduce one ``closure.last_count_weights`` table, K binomial
+rows, against the log relative frequency, the centred log-factorials of the
+count entropy and the tables from ``bayes.belief_tables``.  The references
+below walk count space one state at a time with the scalar functions, or with
+mpmath at 50 digits, and share no array code with it.
 """
 
 import itertools
@@ -26,7 +27,6 @@ from infoclosure import (
     one_step_info_gain_from_count,
     symbol_entropy,
 )
-from infoclosure.closure import _exact_parts
 
 QUANTITIES = ("ntic", "one_step_ntic", "info_gain", "surprise")
 
@@ -161,25 +161,42 @@ class TestKernelRows:
             for q in QUANTITIES:
                 assert row[q] == pytest.approx(reference[q], rel=1e-12, abs=1e-15), (t, q)
 
-    @pytest.mark.parametrize("rows", [1, 2, 7])
-    def test_block_size_does_not_change_a_bit(self, monkeypatch, rows):
-        cases = [
-            (CategoricalParam((0.2, 0.3, 0.5)), Hyperparameter((0.5, 2, 1.25)), 12),
-            (CategoricalParam((0.6, 0.0, 0.4)), Hyperparameter((3, 1, 0.3)), 9),
-            (CategoricalParam((0.1, 0.9)), Hyperparameter((10, 1)), 30),
-        ]
-        default = [curve_row(phi, xi0, t) for phi, xi0, t in cases]
-        pairs = list(closure.count_last_distribution(cases[0][0], cases[0][2]))
-        monkeypatch.setattr(process, "LATTICE_BLOCK_ROWS", rows)
-        assert len(list(process.count_lattice_blocks(3, 12))) > 1
-        assert [curve_row(phi, xi0, t) for phi, xi0, t in cases] == default
-        assert list(closure.count_last_distribution(cases[0][0], cases[0][2])) == pairs
+    @pytest.mark.parametrize(
+        "phi,xi0",
+        [
+            ((0.2, 0.3, 0.5), (1, 0.25, 10)),
+            ((0.6, 0.0, 0.4), (2.5, 1, 0.3)),
+        ],
+    )
+    def test_k3_cells_match_the_per_state_sum_at_larger_t(self, phi, xi0):
+        phi, xi0 = CategoricalParam(phi), Hyperparameter(xi0)
+        for t in (30, 60):
+            row = curve_row(phi, xi0, t)
+            expected = scalar_row(phi, xi0, t)
+            for q in QUANTITIES:
+                assert row[q] == pytest.approx(expected[q], rel=1e-12, abs=1e-15), (t, q)
+
+    @pytest.mark.parametrize(
+        "probs", [(0.2, 0.3, 0.5), (0.6, 0.0, 0.4), (1.0, 0.0), (0.1, 0.2, 0.3, 0.4)]
+    )
+    def test_table_groups_the_joint_by_last_symbol_and_its_count(self, probs):
+        phi = CategoricalParam(probs)
+        for t in (1, 2, 5, 9):
+            grouped = {}
+            for c, x, p, _ in closure.count_last_distribution(phi, t):
+                grouped.setdefault((x, c.counts[x]), []).append(p)
+            weights = closure.last_count_weights(phi, t)
+            assert weights.shape == (phi.size, t + 1)
+            for x in range(phi.size):
+                for n in range(t + 1):
+                    expected = math.fsum(grouped.get((x, n), []))
+                    assert weights[x, n] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_zero_probability_symbols_are_masked(self):
         phi = CategoricalParam((0.0, 0.5, 0.0, 0.5))
-        for block in closure.count_last_blocks(phi, 6):
-            assert not block.counts[:, [0, 2]].any()
-            assert (block.p > 0.0).all()
+        weights = closure.last_count_weights(phi, 6)
+        assert not weights[[0, 2]].any()
+        assert (weights[[1, 3], 1:] > 0.0).all()
         assert closure.count_entropy(phi, 6) == pytest.approx(
             closure.count_entropy(CategoricalParam((0.5, 0.5)), 6), rel=1e-14
         )
@@ -210,14 +227,18 @@ class TestWorkPerRow:
 
 
 class TestLattice:
-    @pytest.mark.parametrize("rows", [1, 4, process.LATTICE_BLOCK_ROWS])
-    def test_blocks_are_the_lexicographic_lattice(self, monkeypatch, rows):
-        monkeypatch.setattr(process, "LATTICE_BLOCK_ROWS", rows)
+    @pytest.mark.parametrize("rows", [1, 4, 32768])
+    def test_blocks_are_the_lexicographic_lattice(self, rows):
+        # Read the lazy stream a block of `rows` vectors at a time: every
+        # block picks up where the last one stopped, in lexicographic order.
         for k in (1, 2, 3, 4):
             for t in (0, 1, 5):
-                blocks = list(process.count_lattice_blocks(k, t))
-                assert all(1 <= len(b) <= rows and b.shape[1] == k for b in blocks)
-                assert [tuple(r) for b in blocks for r in b.tolist()] == sorted(compositions(k, t))
+                stream = process.enumerate_counts(k, t)
+                blocks = []
+                while block := [c.counts for c in itertools.islice(stream, rows)]:
+                    blocks.append(block)
+                assert all(1 <= len(b) <= rows for b in blocks)
+                assert [c for b in blocks for c in b] == sorted(compositions(k, t))
 
     def test_log_factorials_split(self, monkeypatch):
         # Start from the exact part alone, so both calls below grow the table.
@@ -248,15 +269,3 @@ class TestLattice:
             process.log_factorials(n)
         assert len(calls) == 210 - 64
 
-
-class TestExactParts:
-    @given(
-        st.lists(st.floats(-1e300, 1e300, allow_nan=False), max_size=30),
-        st.lists(st.floats(-1e300, 1e300, allow_nan=False), max_size=30),
-    )
-    @settings(max_examples=300)
-    def test_parts_sum_exactly_to_their_terms(self, first, second):
-        scaled = [v * 2.0**-900 for v in first]  # mix in tiny magnitudes
-        parts = _exact_parts(first + scaled)
-        assert len(parts) < 45
-        assert math.fsum(parts + second) == math.fsum(first + scaled + second)
