@@ -18,7 +18,6 @@ curves, per-trajectory tables, the witness, and the conformance grid.
 """
 
 from .bayes import (
-    DirichletBelief,
     InfoGainReport,
     WitnessReport,
     expected_log_predictive,
@@ -33,11 +32,9 @@ from .bayes import (
     posterior_predictive,
 )
 from .closure import (
-    EmpiricalDistribution,
     NticReport,
     count_entropy,
     count_last_distribution,
-    empirical_distribution,
     ntic,
     one_step_ntic,
     one_step_pointwise_ntic,
@@ -67,7 +64,6 @@ from .oracle import (
 )
 from .process import (
     NEG_INFINITY,
-    Alphabet,
     CategoricalParam,
     CountVector,
     Hyperparameter,
@@ -89,15 +85,12 @@ from .special import EULER_GAMMA, digamma, log_gamma
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "AlphabetMismatchError",
     "CategoricalParam",
     "ConformanceRecord",
     "ConformanceResult",
     "CountVector",
-    "DirichletBelief",
     "DomainError",
-    "EmpiricalDistribution",
     "EULER_GAMMA",
     "Hyperparameter",
     "InfoClosureError",
@@ -119,7 +112,6 @@ __all__ = [
     "count_log_prob",
     "count_space_size",
     "digamma",
-    "empirical_distribution",
     "enumerate_counts",
     "expected_log_predictive",
     "full_past_info_gain",

@@ -42,7 +42,6 @@ from .errors import (
     WitnessFailedError,
 )
 from .process import (
-    CategoricalParam,
     CountVector,
     Hyperparameter,
     add_counts,
@@ -57,31 +56,6 @@ _KL_SLACK = 1e-12
 
 #: Gap below which two one-step gains are considered indistinguishable.
 WITNESS_GAP = 1e-12
-
-
-@dataclass(frozen=True)
-class DirichletBelief:
-    """Dirichlet distribution over data-process parameters."""
-
-    xi: Hyperparameter
-
-    def log_density(self, point: Sequence[float] | CategoricalParam) -> float:
-        """Log density at a probability vector in the interior of the simplex."""
-        probs = point.probs if isinstance(point, CategoricalParam) else tuple(point)
-        if len(probs) != self.xi.size:
-            raise AlphabetMismatchError(
-                f"point of size {len(probs)} does not match belief of size {self.xi.size}"
-            )
-        alpha = self.xi.as_floats()
-        norm = log_gamma(float(self.xi.total)) - math.fsum(log_gamma(a) for a in alpha)
-        return norm + math.fsum((a - 1.0) * math.log(p) for a, p in zip(alpha, probs))
-
-    def posterior(self, c: CountVector) -> "DirichletBelief":
-        """Belief after additionally observing a trajectory with counts c."""
-        return DirichletBelief(add_counts(self.xi, c))
-
-    def predictive(self, x: int) -> float:
-        return posterior_predictive(self.xi, x)
 
 
 @dataclass(frozen=True)

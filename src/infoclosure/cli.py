@@ -74,6 +74,11 @@ EXIT_RESOURCE = 4
 #: Count-space size above which `curve` switches from exact to Monte Carlo.
 EXACT_MODE_CAP = 10**6
 
+#: Most bytes the sampled trajectories of a Monte Carlo row may take.  A row
+#: at time t holds 24 bytes per sampled symbol (a float64 uniform, its int64
+#: symbol and the clipped copy), so `curve` needs samples * tmax * 24 of them.
+MC_BUDGET_BYTES = 2**30
+
 CURVE_QUANTITIES = ("ntic", "one_step_ntic", "info_gain", "surprise")
 ALL_QUANTITIES = ("ntic", "one_step_ntic", "pointwise", "info_gain", "surprise")
 
@@ -313,11 +318,6 @@ def _curve_exact_row(config: RunConfig, t: int) -> dict:
 
 def _curve_mc_row(config: RunConfig, t: int) -> dict:
     phi = config.phi
-    if config.samples < 1:
-        raise ResourceCapError(
-            f"count space at t={t} exceeds the exact-mode cap of {EXACT_MODE_CAP}; "
-            f"Monte Carlo mode needs --samples N (got {config.samples})"
-        )
     batch = sample_trajectories(phi, t, config.samples, [config.seed, t])
     # The (samples, K) count matrix in one pass; the sampler only emits symbols < K.
     counts = np.stack([(batch == x).sum(axis=1) for x in range(phi.size)], axis=1)
@@ -352,12 +352,29 @@ def cmd_curve(config: RunConfig) -> int:
     if ("info_gain" in config.quantities or "surprise" in config.quantities) and config.xi0 is None:
         raise UsageError("quantities info_gain and surprise need xi0")
 
-    rows = []
-    for t in range(1, config.t_max + 1):
-        if count_space_size(config.phi.size, t) <= EXACT_MODE_CAP:
-            rows.append(_curve_exact_row(config, t))
-        else:
-            rows.append(_curve_mc_row(config, t))
+    # Count space grows with t, so every row from the first one over the cap is sampled.
+    first_mc = next(
+        (t for t in range(1, config.t_max + 1)
+         if count_space_size(config.phi.size, t) > EXACT_MODE_CAP),
+        config.t_max + 1,
+    )
+    if first_mc <= config.t_max:
+        if config.samples < 1:
+            raise ResourceCapError(
+                f"count space at t={first_mc} exceeds the exact-mode cap of {EXACT_MODE_CAP}; "
+                f"Monte Carlo mode needs --samples N (got {config.samples})"
+            )
+        estimate = config.samples * config.t_max * 24
+        if estimate > MC_BUDGET_BYTES:
+            raise ResourceCapError(
+                f"Monte Carlo rows up to t={config.t_max} with {config.samples} samples "
+                f"would take about {estimate} bytes, exceeding the budget of "
+                f"{MC_BUDGET_BYTES}; lower --samples or --tmax"
+            )
+    rows = [
+        _curve_exact_row(config, t) if t < first_mc else _curve_mc_row(config, t)
+        for t in range(1, config.t_max + 1)
+    ]
     columns = ["t", *config.quantities, "method"]
     _emit(_render("curve", config, columns, rows), config.output_path)
     return EXIT_OK
@@ -459,11 +476,7 @@ def cmd_conformance(
         },
         "records": [r.to_json_dict() for r in result.records],
     }
-    text = json.dumps(document, indent=2) + "\n"
-    if out is not None:
-        _emit(text, out)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(document, indent=2) + "\n", out)
     return EXIT_OK if result.all_passed else EXIT_CONFORMANCE
 
 
@@ -475,11 +488,6 @@ def cmd_conformance(
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--phi", help="comma-separated probabilities, e.g. 0.5,0.5")
     parser.add_argument("--xi0", help="comma-separated concentration components, e.g. 1,1")
-    parser.add_argument("--tmax", help="largest time step")
-    parser.add_argument("--traj", help="comma-separated symbol indices, e.g. 0,1,0")
-    parser.add_argument("--quantities", help=f"comma-separated subset of {','.join(ALL_QUANTITIES)}")
-    parser.add_argument("--seed", help="RNG seed for Monte Carlo mode")
-    parser.add_argument("--samples", help="Monte Carlo sample count")
     parser.add_argument("--units", choices=("nats", "bits"), help="output units")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
     parser.add_argument("--out", help="output file path (stdout when omitted)")
@@ -492,9 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("curve", help="expected quantities over t = 1..tmax")
     _add_common_flags(curve)
+    curve.add_argument("--tmax", help="largest time step")
+    curve.add_argument("--quantities", help=f"comma-separated subset of {','.join(CURVE_QUANTITIES)}")
+    curve.add_argument("--seed", help="RNG seed for Monte Carlo mode")
+    curve.add_argument("--samples", help="Monte Carlo sample count")
 
     trajectory = sub.add_parser("trajectory", help="pointwise quantities per prefix")
     _add_common_flags(trajectory)
+    trajectory.add_argument("--traj", help="comma-separated symbol indices, e.g. 0,1,0")
 
     witness = sub.add_parser("witness", help="closure-vs-gain divergence witness")
     witness.add_argument("--traj", required=True)

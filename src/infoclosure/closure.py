@@ -18,7 +18,8 @@ Every expected quantity is an expectation over the joint distribution of
 (count vector, last symbol).  By exchangeability a fraction c_x / t of the
 trajectories with count c end in symbol x, so p(c, x) = p(c) * c_x / t; the
 tests validate this grouping against full trajectory enumeration, and
-``count_last_distribution`` walks it one pair at a time.
+``count_last_distribution`` walks it one pair at a time, up to
+``DEFAULT_COUNT_CAP`` count vectors.
 
 The exact rows need less than that joint.  The one-step closure and the
 belief-layer quantities depend on a pair only through (x, c_x), and the
@@ -29,15 +30,17 @@ where count space has O(t^(K-1)) points.  ``expectation`` reduces the table
 against a per-(x, n) value, ``count_entropy_from_weights`` turns it into the
 count entropy, centred so that no weight multiplies a term of size t log t,
 and each result is one exactly rounded ``math.fsum``, independent of the
-summation order.  ``count_entropy``, ``ntic``, ``one_step_ntic``, the
-conformance closed forms and the CLI's exact curve rows are all built on it.
+summation order.  Only the terms of nonzero weight reach the ``fsum``: it
+ignores exact zeros, so dropping them changes no bit, and most of a long
+row's binomial tail underflows to 0 (all but one entry when K = 1).
+``count_entropy``, ``ntic``, ``one_step_ntic``, the conformance closed forms
+and the CLI's exact curve rows are all built on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -56,7 +59,7 @@ from .process import (
     validate_trajectory,
 )
 
-#: Default cap on the number of count vectors an exact enumeration may visit.
+#: Most count vectors ``count_last_distribution`` may enumerate.
 DEFAULT_COUNT_CAP = 10**7
 
 #: Most entries, K * (t + 1), one ``last_count_weights`` table may hold: 32 MB
@@ -79,33 +82,18 @@ class NticReport:
     te_term: float
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Relative-frequency vector of a nonempty trajectory, exact in rationals."""
-
-    probs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if sum(self.probs, Fraction(0)) != 1:
-            raise DomainError("empirical probabilities must sum to exactly 1")
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(p) for p in self.probs)
-
-
-def _check_count_cap(k: int, t: int, cap: int) -> None:
-    size = count_space_size(k, t)
-    if size > cap:
-        raise ResourceCapError(
-            f"count-space enumeration for k={k}, t={t} has {size} elements, "
-            f"exceeding the cap of {cap}; use Monte Carlo mode (sampled "
-            f"trajectories with plug-in pointwise estimates) or raise the cap"
-        )
-
-
 # ---------------------------------------------------------------------------
 # The per-row table
 # ---------------------------------------------------------------------------
+
+
+def _nonzero_terms(terms: np.ndarray, weights: np.ndarray) -> list[float]:
+    """The entries of ``terms`` whose weight (same shape) is nonzero, for ``math.fsum``.
+
+    A zero weight makes a zero term, and ``fsum`` ignores exact zeros, so the
+    sum is the same bit for bit; it only skips the per-term cost of ``fsum``.
+    """
+    return terms[weights != 0.0].tolist()
 
 
 def last_count_weights(phi: CategoricalParam, t: int) -> np.ndarray:
@@ -138,7 +126,7 @@ def last_count_weights(phi: CategoricalParam, t: int) -> np.ndarray:
             row = np.exp(log_binom + n * math.log(p) + (t - n) * math.log1p(-p))
             # The row sums to phi_x; rescaling it to that sum cancels the
             # rounding of log (t - 1)!, which every entry shares.
-            weights[x, 1:] = row * (p / math.fsum(row.tolist()))
+            weights[x, 1:] = row * (p / math.fsum(_nonzero_terms(row, row)))
     return weights
 
 
@@ -148,9 +136,11 @@ def expectation(weights: np.ndarray, values: np.ndarray) -> float:
     The sum of weights[x, n] * values[x, n] over every x and n >= 1, exactly
     rounded.  ``values`` is a (K, t + 1) array such as a ``bayes.belief_tables``
     table, or one (t + 1,) row shared by every symbol; its column 0 (a count
-    the last symbol cannot have) is never read.
+    the last symbol cannot have) is never read, nor is any entry whose weight
+    is 0.
     """
-    return math.fsum((weights[:, 1:] * values[..., 1:]).ravel().tolist())
+    weights = weights[:, 1:]
+    return math.fsum(_nonzero_terms(weights * values[..., 1:], weights))
 
 
 def count_entropy_from_weights(phi: CategoricalParam, weights: np.ndarray) -> float:
@@ -179,7 +169,7 @@ def count_entropy_from_weights(phi: CategoricalParam, weights: np.ndarray) -> fl
         binom[0] = math.exp(t * math.log1p(-p)) if p < 1.0 else 0.0
         binom[1:] = t / n[1:] * weights[x, 1:]
         terms += [log_fact[m], slope * ((t * num - m * den) / den), -t * p * math.log(p)]
-        terms += (binom * (log_fact - log_fact[m] - slope * (n - m))).tolist()
+        terms += _nonzero_terms(binom * (log_fact - log_fact[m] - slope * (n - m)), binom)
     return math.fsum(terms)
 
 
@@ -192,7 +182,7 @@ def one_step_ntic_from_weights(weights: np.ndarray) -> float:
 
 
 def count_last_distribution(
-    phi: CategoricalParam, t: int, cap: int = DEFAULT_COUNT_CAP
+    phi: CategoricalParam, t: int
 ) -> Iterator[tuple[CountVector, int, float, float]]:
     """The joint distribution of (count vector, last symbol), one pair at a time.
 
@@ -201,11 +191,18 @@ def count_last_distribution(
     c_x >= 1, by ascending x.  ``log_pc`` is ``count_log_prob(phi, c)`` and
     ``p`` = p(c) * c_x / t the probability of (c, x): by exchangeability a
     fraction c_x / t of the trajectories with count c end in x.  Raises
-    ``ResourceCapError`` when the count space exceeds ``cap``.
+    ``ResourceCapError``, on the first ``next()``, when the count space holds
+    more than ``DEFAULT_COUNT_CAP`` vectors.
     """
     if t < 1:
         raise DomainError(f"need t >= 1, got {t}")
-    _check_count_cap(phi.size, t, cap)
+    size = count_space_size(phi.size, t)
+    if size > DEFAULT_COUNT_CAP:
+        raise ResourceCapError(
+            f"count-space enumeration for k={phi.size}, t={t} has {size} elements, "
+            f"exceeding the cap of {DEFAULT_COUNT_CAP}; the expected values need no "
+            f"enumeration (count_entropy, ntic, one_step_ntic)"
+        )
     for c in enumerate_counts(phi.size, t):
         log_pc = count_log_prob(phi, c)
         if log_pc == NEG_INFINITY:
@@ -312,17 +309,3 @@ def one_step_ntic(phi: CategoricalParam, t: int) -> float:
     if t < 1:
         raise DomainError(f"closure is defined for t >= 1, got {t}")
     return one_step_ntic_from_weights(last_count_weights(phi, t))
-
-
-def empirical_distribution(traj: Sequence[int], k: int | None = None) -> EmpiricalDistribution:
-    """Relative-frequency vector of a nonempty trajectory over k symbols.
-
-    When ``k`` is omitted it defaults to ``max(traj) + 1``.
-    """
-    traj = tuple(int(x) for x in traj)
-    if len(traj) < 1:
-        raise DomainError("empirical distribution needs a nonempty trajectory")
-    if k is None:
-        k = max(traj) + 1
-    c = count(traj, k)
-    return EmpiricalDistribution(tuple(Fraction(n, c.total) for n in c.counts))

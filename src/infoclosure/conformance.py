@@ -26,7 +26,6 @@ from .closure import (
 )
 from .errors import DomainError, ResourceCapError
 from .oracle import (
-    DEFAULT_JOINT_CAP,
     build_joint,
     oracle_kl_quadrature,
     oracle_mutual_information,
@@ -124,7 +123,7 @@ def _record(quantity: str, context: dict, closed: float, orac: float, tol: float
 
 def _ntic_point(args) -> tuple[list[ConformanceRecord], list[str]]:
     """All comparisons for one (k, phi, t) grid point across the xi0 grid."""
-    k, phi_probs, t, tolerance, joint_cap = args
+    k, phi_probs, t, tolerance = args
     phi = CategoricalParam(phi_probs)
     records: list[ConformanceRecord] = []
     warns: list[str] = []
@@ -142,7 +141,7 @@ def _ntic_point(args) -> tuple[list[ConformanceRecord], list[str]]:
         xi0 = Hyperparameter(xi0_values)
         context = {"k": k, "phi": list(phi_probs), "t": t, "xi0": list(xi0_values)}
         try:
-            joint = build_joint(phi, xi0, t, cap=joint_cap) if joint is None else joint.relabel(xi0)
+            joint = build_joint(phi, xi0, t) if joint is None else joint.relabel(xi0)
         except ResourceCapError as exc:
             warns.append(f"skipped k={k} phi={phi_probs} t={t} xi0={xi0_values}: {exc}")
             continue
@@ -178,7 +177,8 @@ def _ntic_point(args) -> tuple[list[ConformanceRecord], list[str]]:
     return records, warns
 
 
-def _info_gain_records(kl_tolerance: float) -> list[ConformanceRecord]:
+def _info_gain_records() -> list[ConformanceRecord]:
+    kl_tolerance = 1e-7
     records = []
     for xi0_values in XI0_GRIDS[2]:
         xi0 = Hyperparameter(xi0_values)
@@ -198,13 +198,14 @@ def run_conformance(
     max_k: int = 3,
     max_t: int = 8,
     tolerance: float = 1e-10,
-    kl_tolerance: float = 1e-7,
-    joint_cap: int = DEFAULT_JOINT_CAP,
     jobs: int = 1,
 ) -> ConformanceResult:
     """Run the full grid and return all comparison records in canonical order.
 
-    ``jobs`` is clamped to the CPU count and to the number of grid points.
+    ``tolerance`` bounds the closure comparisons; the quadrature records use
+    1e-7.  A joint over ``oracle.DEFAULT_JOINT_CAP`` trajectories is skipped
+    with a warning.  ``jobs`` is clamped to the CPU count and to the number
+    of grid points.
     """
     if max_k < 2 or max_k > 3:
         raise DomainError("conformance grids are defined for alphabet sizes 2 and 3")
@@ -212,7 +213,7 @@ def run_conformance(
         raise DomainError(f"need max_t >= 1, got {max_t}")
 
     points = [
-        (k, phi_probs, t, tolerance, joint_cap)
+        (k, phi_probs, t, tolerance)
         for k in range(2, max_k + 1)
         for phi_probs in PHI_GRIDS[k]
         for t in range(1, max_t + 1)
@@ -230,5 +231,5 @@ def run_conformance(
         records.extend(point_records)
         warns.extend(point_warns)
 
-    records.extend(_info_gain_records(kl_tolerance))
+    records.extend(_info_gain_records())
     return ConformanceResult(records=records, warnings=warns)

@@ -14,10 +14,10 @@ class DomainError(InfoClosureError, ValueError):
 
 
 class ResourceCapError(InfoClosureError, RuntimeError):
-    """An exact enumeration would exceed the configured size cap.
+    """An enumeration or allocation would exceed its fixed size cap or budget.
 
-    The message always carries a remediation hint (typically: switch to
-    Monte Carlo mode or raise the cap explicitly).
+    The message gives the size asked for and carries a remediation hint
+    (typically: switch to Monte Carlo mode, or ask for fewer states or samples).
     """
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from .process import (
     validate_trajectory,
 )
 
-#: Default cap on the number of trajectories a joint table may enumerate.
+#: Most trajectories ``build_joint`` may enumerate.
 DEFAULT_JOINT_CAP = 10**6
 
 #: Tolerance of the internal d-separation consistency check.
@@ -165,18 +165,6 @@ class JointTable:
     def __len__(self) -> int:
         return self.trajectories.shape[0]
 
-    def entries(self) -> Iterator[tuple[tuple, float]]:
-        """Yield ((trajectory, previous state, state), probability) per row.
-
-        Counter states are exact rational vectors derived from the start
-        vector plus the relevant counts.
-        """
-        for row, p in zip(self.trajectories.tolist(), self.probs.tolist()):
-            traj = tuple(row)
-            xi_t = add_counts(self.xi0, count(traj, self.k))
-            xi_prev = add_counts(self.xi0, count(traj[:-1], self.k))
-            yield (traj, xi_prev.alpha, xi_t.alpha), p
-
     def prob(self, traj: Sequence[int]) -> float:
         """Probability of one trajectory, recomputed the same way the table was built."""
         traj = validate_trajectory(traj, self.k)
@@ -257,16 +245,11 @@ class JointTable:
         return self._marginals
 
 
-def build_joint(
-    phi: CategoricalParam,
-    xi0: Hyperparameter,
-    t: int,
-    cap: int = DEFAULT_JOINT_CAP,
-) -> JointTable:
+def build_joint(phi: CategoricalParam, xi0: Hyperparameter, t: int) -> JointTable:
     """Enumerate all nonzero-probability trajectories of length t >= 1.
 
-    Raises ``ResourceCapError`` when the enumeration would exceed ``cap``
-    trajectories, ``DomainError`` when a trajectory's probability underflows
+    Raises ``ResourceCapError`` when the enumeration would exceed
+    ``DEFAULT_JOINT_CAP`` trajectories, ``DomainError`` when a trajectory's probability underflows
     to 0, and ``InternalConsistencyError`` if the resulting probabilities fail
     to sum to 1 within 1e-12.
     """
@@ -276,10 +259,10 @@ def build_joint(
     support = phi.support
     m = len(support)
     n = m**t
-    if n > cap:
+    if n > DEFAULT_JOINT_CAP:
         raise ResourceCapError(
             f"joint table for t={t} would enumerate {n} trajectories, exceeding "
-            f"the cap of {cap}; reduce t or raise the cap"
+            f"the cap of {DEFAULT_JOINT_CAP}; reduce t"
         )
 
     idx = np.arange(n, dtype=np.int64)
@@ -381,17 +364,9 @@ def oracle_transfer_entropy(joint: JointTable) -> float:
     return simplified
 
 
-def oracle_ntic(
-    phi: CategoricalParam,
-    xi0: Hyperparameter,
-    t: int,
-    mode: Mode,
-    cap: int = DEFAULT_JOINT_CAP,
-    joint: JointTable | None = None,
-) -> float:
+def oracle_ntic(phi: CategoricalParam, xi0: Hyperparameter, t: int, mode: Mode) -> float:
     """Closure at time t recomputed from the definitional joint table."""
-    if joint is None:
-        joint = build_joint(phi, xi0, t, cap=cap)
+    joint = build_joint(phi, xi0, t)
     return oracle_mutual_information(joint, mode) - oracle_transfer_entropy(joint)
 
 
@@ -529,14 +504,12 @@ def oracle_kl_quadrature(
     return beta_log_moment_quadrature(a1, b1, (k0, a1 - a0, b1 - b0), abs_tol=abs_tol)
 
 
-def oracle_expected_log_predictive(
-    xi: Hyperparameter, x: int, abs_tol: float = 1e-10
-) -> float:
+def oracle_expected_log_predictive(xi: Hyperparameter, x: int) -> float:
     """Belief-expected log probability of x by numerical integration.
 
     Uses the Beta marginal of a single Dirichlet component, so it works for
     any alphabet size; serves as the independent route against the digamma
-    closed form.
+    closed form.  The quadrature runs to an error estimate of 1e-10.
     """
     if x < 0 or x >= xi.size:
         raise DomainError(f"symbol {x} outside alphabet of size {xi.size}")
@@ -544,4 +517,4 @@ def oracle_expected_log_predictive(
         return 0.0  # the belief is a point mass at probability 1
     a = float(xi.alpha[x])
     b = float(xi.total - xi.alpha[x])
-    return beta_log_moment_quadrature(a, b, (0.0, 1.0, 0.0), abs_tol=abs_tol)
+    return beta_log_moment_quadrature(a, b, (0.0, 1.0, 0.0), abs_tol=1e-10)

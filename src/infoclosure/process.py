@@ -1,11 +1,13 @@
-"""Alphabet, IID data process, hyperparameter counter, and counting combinatorics.
+"""IID data process, hyperparameter counter, and counting combinatorics.
 
 The data process emits symbols 0..K-1 i.i.d. from a fixed categorical
-parameter.  The companion counter chain starts at a strictly positive
-concentration vector and adds a one-hot increment per observed symbol; its
-state after a trajectory is therefore the start vector plus the trajectory's
-count vector.  Everything downstream (closure measures, belief layer, oracle)
-consumes the types and counting primitives defined here.
+parameter; the alphabet is the index range of that parameter, and every
+symbol is checked against it (``validate_trajectory``).  The companion
+counter chain starts at a strictly positive concentration vector and adds a
+one-hot increment per observed symbol; its state after a trajectory is
+therefore the start vector plus the trajectory's count vector.  Everything
+downstream (closure measures, belief layer, oracle) consumes the types and
+counting primitives defined here.
 
 Numeric conventions used throughout the package:
 
@@ -59,21 +61,6 @@ _log_factorial_table = _EXACT_LOG_FACTORIALS
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """A finite sample space of ``size`` symbols indexed 0..size-1."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
-            raise DomainError(f"alphabet size must be a positive integer, got {self.size!r}")
-
-    @property
-    def symbols(self) -> range:
-        return range(self.size)
 
 
 @dataclass(frozen=True)
@@ -152,9 +139,6 @@ class Hyperparameter:
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(a) for a in self.alpha)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(a) for a in self.alpha], dtype=float)
 
 
 @dataclass(frozen=True)

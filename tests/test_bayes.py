@@ -1,9 +1,10 @@
 """Checks for the belief layer: predictive, surprise, information gain.
 
 Two-route checks here: the digamma closed form of the one-step gain against a
-replayed-predictive + quadrature evaluation of its defining decomposition,
-and exact-rational agreement between batch and sequential posterior
-construction.
+replayed-predictive + quadrature evaluation of its defining decomposition.
+Batch and sequential posterior construction agree exactly because the
+counter's one-hot steps compose into adding the counts, which
+``test_process.py`` checks.
 """
 
 import math
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from infoclosure import (
     AlphabetMismatchError,
     CountVector,
-    DirichletBelief,
     DomainError,
     Hyperparameter,
     WitnessFailedError,
@@ -202,32 +202,6 @@ class TestFullPastInfoGain:
             closed = full_past_info_gain(xi0, traj)
             quad = oracle_kl_quadrature(Hyperparameter((n + 1, n + 1)), xi0)
             assert closed == pytest.approx(quad, abs=1e-7)
-
-
-class TestBeliefConsistency:
-    @given(
-        st.lists(xi_component, min_size=2, max_size=3),
-        st.data(),
-    )
-    @settings(max_examples=200)
-    def test_batch_posterior_equals_sequential(self, alpha, data):
-        # Posterior-parameter condition: the belief after a trajectory is the
-        # belief at the counter state, whichever way the counter got there.
-        xi0 = Hyperparameter(tuple(alpha))
-        traj = data.draw(st.lists(st.integers(0, xi0.size - 1), max_size=30))
-        batch = DirichletBelief(xi0).posterior(count(traj, xi0.size))
-        sequential = xi0
-        for x in traj:
-            sequential = update(sequential, x)
-        assert batch.xi.alpha == sequential.alpha
-
-    def test_log_density_of_flat_belief(self):
-        belief = DirichletBelief(Hyperparameter((1, 1)))
-        assert belief.log_density((0.3, 0.7)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_predictive_shortcut(self):
-        belief = DirichletBelief(Hyperparameter((2, 1)))
-        assert belief.predictive(0) == posterior_predictive(belief.xi, 0)
 
 
 class TestWitness:

@@ -105,6 +105,31 @@ class TestCurve:
         assert rc == 4
         assert "--samples" in err
 
+    @pytest.mark.parametrize("samples, reason", [("0", "--samples"), ("1000000000", "bytes")])
+    def test_monte_carlo_refusal_comes_before_any_row(self, monkeypatch, samples, reason):
+        # K = 10: rows 1..14 are exact, 15 and 16 would sample 16 * 10**9 symbols.
+        def no_row(*args):
+            raise AssertionError("a row was computed before the refusal")
+
+        monkeypatch.setattr(cli, "last_count_weights", no_row)
+        monkeypatch.setattr(cli, "sample_trajectories", no_row)
+        rc, out, err = run_cli(
+            "curve", "--phi", ",".join(["0.1"] * 10), "--tmax", "16", "--samples", samples
+        )
+        assert rc == 4
+        assert out == ""
+        assert reason in err
+
+    def test_monte_carlo_budget_bounds_samples_times_tmax(self, monkeypatch):
+        monkeypatch.setattr(cli, "EXACT_MODE_CAP", 3)
+        monkeypatch.setattr(cli, "MC_BUDGET_BYTES", 24 * 200 * 4)
+        argv = ("curve", "--phi", "0.5,0.5", "--tmax", "4", "--seed", "3", "--samples")
+        assert run_cli(*argv, "200")[0] == 0
+        rc, out, err = run_cli(*argv, "201")
+        assert rc == 4
+        assert out == ""
+        assert "19296 bytes" in err
+
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "EXACT_MODE_CAP", 2)
         paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
@@ -183,6 +208,24 @@ class TestTrajectory:
         rc, _, err = run_cli("trajectory", "--traj", "0,3", "--xi0", "1,1")
         assert rc == 1
         assert "alphabet" in err
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("curve", "--phi", "0.5,0.5", "--tmax", "2", "--traj", "0,1"),
+            ("trajectory", "--traj", "0,1", "--xi0", "1,1", "--tmax", "5"),
+            ("trajectory", "--traj", "0,1", "--xi0", "1,1", "--quantities", "ntic"),
+            ("trajectory", "--traj", "0,1", "--xi0", "1,1", "--seed", "2"),
+            ("trajectory", "--traj", "0,1", "--xi0", "1,1", "--samples", "3"),
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, argv):
+        rc, out, err = run_cli(*argv)
+        assert rc == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 class TestWitness:

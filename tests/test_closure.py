@@ -8,7 +8,6 @@ count space, so expectation identities are genuine two-route comparisons.
 import itertools
 import math
 import warnings
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -21,7 +20,6 @@ from infoclosure import (
     ResourceCapError,
     count_entropy,
     count_last_distribution,
-    empirical_distribution,
     ntic,
     one_step_ntic,
     one_step_pointwise_ntic,
@@ -260,6 +258,13 @@ class TestCountLastDistribution:
             assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
             assert all(p > 0.0 for p in weights)
 
+    def test_count_cap_refuses_on_first_next(self):
+        # K = 3, t = 10**4 has C(10**4 + 2, 2) = 50 015 001 count vectors.
+        pairs = count_last_distribution(CategoricalParam((0.2, 0.3, 0.5)), 10**4)
+        with pytest.raises(ResourceCapError, match="has 50015001 elements") as refusal:
+            next(pairs)
+        assert "raise the cap" not in str(refusal.value)
+
     def test_matches_trajectory_grouping(self):
         # The grouped weights must equal direct sums over trajectory space.
         phi = CategoricalParam((0.2, 0.3, 0.5))
@@ -275,24 +280,3 @@ class TestCountLastDistribution:
         assert set(grouped) == set(brute)
         for key, p in grouped.items():
             assert p == pytest.approx(brute[key], abs=1e-13)
-
-
-class TestEmpiricalDistribution:
-    def test_examples(self):
-        assert empirical_distribution((0, 0), 2).as_floats() == (1.0, 0.0)
-        assert empirical_distribution((0, 1)).as_floats() == (0.5, 0.5)
-        assert empirical_distribution((0, 1, 1, 2), 3).as_floats() == (0.25, 0.5, 0.25)
-
-    def test_exact_rational_normalization(self):
-        dist = empirical_distribution((0, 1, 2, 0, 1, 0, 2), 3)
-        assert sum(dist.probs, Fraction(0)) == 1
-
-    def test_consistency_with_one_step_pointwise(self):
-        # log of the last symbol's empirical probability IS the one-step value.
-        for traj in [(0,), (0, 1, 0), (2, 1, 2, 2), (0, 0, 1)]:
-            dist = empirical_distribution(traj, 3)
-            assert math.log(float(dist.probs[traj[-1]])) == one_step_pointwise_ntic(traj)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            empirical_distribution(())

@@ -3,6 +3,7 @@
 import pytest
 
 import infoclosure.conformance as conformance
+import infoclosure.oracle as oracle
 from infoclosure import (
     CategoricalParam,
     DomainError,
@@ -34,8 +35,9 @@ class TestRunner:
             "full_past_info_gain_vs_quadrature",
         }
 
-    def test_reduced_grid_on_tight_cap(self):
-        result = run_conformance(max_k=2, max_t=4, joint_cap=8)
+    def test_reduced_grid_on_tight_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_JOINT_CAP", 8)
+        result = run_conformance(max_k=2, max_t=4)
         assert result.warnings  # t=4 joints exceed the cap and get skipped
         assert result.all_passed  # skipping is a warning, not a failure
 

@@ -1,7 +1,8 @@
-"""Smoke test: each walkthrough under ``demos/`` runs to its end.
+"""Smoke test: each walkthrough under ``demos/``, and the README's library
+example, runs to its end.
 
-The demos run in process, with their stdout captured, so a demo that raises
-(or trips a RuntimeWarning, which the suite treats as an error) fails here.
+They run in process, with their stdout captured, so one that raises (or
+trips a RuntimeWarning, which the suite treats as an error) fails here.
 """
 
 import contextlib
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize(
@@ -28,3 +30,12 @@ def test_demo_runs_to_its_end(name):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert out.getvalue().strip()
+
+
+def test_readme_library_example_runs():
+    blocks = (ROOT / "README.md").read_text(encoding="utf-8").split("```python\n")[1:]
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+    assert len(out.getvalue().splitlines()) == 4

@@ -202,6 +202,42 @@ class TestKernelRows:
         )
 
 
+class TestNonzeroTerms:
+    @pytest.mark.parametrize(
+        "probs, t, zero_share",
+        [
+            ((1.0,), 3000, 0.99),  # K = 1: one nonzero entry per table
+            ((1.0, 0.0), 200, 0.99),
+            ((0.3, 0.0, 0.7), 60, 0.3),
+            ((0.2, 0.3, 0.5), 5000, 0.5),  # underflowing binomial tails
+            ((0.5, 0.5), 10**5, 0.85),
+        ],
+    )
+    def test_sums_over_nonzero_weights_equal_the_full_sums_bit_for_bit(
+        self, monkeypatch, probs, t, zero_share
+    ):
+        phi = CategoricalParam(probs)
+        xi0 = Hyperparameter((0.5,) * phi.size)
+        gain, _ = bayes.belief_tables(xi0, min(t, 60))
+
+        def sums():
+            weights = closure.last_count_weights(phi, t)
+            row = closure.last_count_weights(phi, min(t, 60))
+            values = [
+                closure.count_entropy_from_weights(phi, weights),
+                closure.one_step_ntic_from_weights(weights),
+                closure.expectation(row, gain),
+            ]
+            return weights, [value.hex() for value in values]
+
+        weights, masked = sums()
+        assert (weights == 0.0).mean() > zero_share
+        monkeypatch.setattr(closure, "_nonzero_terms", lambda terms, _: terms.ravel().tolist())
+        full_weights, full = sums()
+        assert weights.tobytes() == full_weights.tobytes()
+        assert masked == full
+
+
 class TestWorkPerRow:
     def test_no_per_state_objects_and_bounded_digamma(self, monkeypatch):
         """An exact K=3 row at t = 20 (231 states) builds no counter per state."""

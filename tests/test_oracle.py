@@ -63,26 +63,30 @@ class TestBuildJoint:
         assert math.fsum(joint.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_cap(self):
-        with pytest.raises(ResourceCapError):
-            build_joint(UNIFORM2, XI_FLAT2, 30, cap=1000)
+        # 2**30 trajectories, over the cap of 10**6; refused before any array is built.
+        with pytest.raises(ResourceCapError, match="1073741824 trajectories"):
+            build_joint(UNIFORM2, XI_FLAT2, 30)
 
     def test_needs_positive_depth(self):
         with pytest.raises(DomainError):
             build_joint(UNIFORM2, XI_FLAT2, 0)
 
     def test_entries_kernel_consistency(self):
-        # Every entry's final state must be the previous state plus a one-hot
-        # of the last symbol, and states derive from the start plus counts.
+        # Every (state, last, previous state) group's state must be the
+        # previous state plus a one-hot of the last symbol, and states derive
+        # from the start plus the counts of t and t - 1 symbols.
         xi0 = Hyperparameter((0.5, 2))
         joint = build_joint(CategoricalParam((0.3, 0.7)), xi0, 3)
-        total = 0.0
-        for (traj, xi_prev, xi_t), p in joint.entries():
+        triples = joint.marginals()["p_triple"]
+        for xi_t, last, xi_prev in triples:
             diff = [after - before for after, before in zip(xi_t, xi_prev)]
             expected = [0] * joint.k
-            expected[traj[-1]] = 1
+            expected[last] = 1
             assert diff == expected
-            total += p
-        assert total == pytest.approx(1.0, abs=1e-12)
+            assert sum(xi_t) - xi0.total == joint.t
+            assert all((a - a0).denominator == 1 for a, a0 in zip(xi_prev, xi0.alpha))
+        assert len(triples) == 6  # (count of symbol 0 in the first 2, last symbol)
+        assert math.fsum(triples.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_underflowing_row_is_refused(self):
         # 1e-200 squared underflows to 0, which no definitional log-ratio takes.

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from infoclosure import (
     NEG_INFINITY,
-    Alphabet,
     AlphabetMismatchError,
     CategoricalParam,
     CountVector,
@@ -61,11 +60,6 @@ def brute_count_prob(phi, c):
 
 
 class TestTypes:
-    def test_alphabet_validation(self):
-        assert list(Alphabet(3).symbols) == [0, 1, 2]
-        with pytest.raises(DomainError):
-            Alphabet(0)
-
     def test_categorical_must_normalize(self):
         with pytest.raises(DomainError):
             CategoricalParam((0.5, 0.6))
