@@ -10,6 +10,15 @@ witness      human-readable demonstration that identical one-step pointwise
              closure coexists with different information gains
 conformance  closed-form-vs-oracle grid with a JSON report
 
+Every value has one parser: an argparse converter per kind of value
+(probabilities, concentrations, symbols, quantities, integers), shared by
+the four commands.  ``--config FILE`` of ``curve`` and ``trajectory`` names a
+JSON object whose keys are the command's own long flags without the dashes;
+each entry stands for ``--key=value``, a list for its comma-joined items and
+a number or string for its ``str``.  These flags go before the command
+line's, and the last occurrence of a flag wins, so the command line
+overrides the file.
+
 Exit codes: 0 success, 1 usage/config error, 2 witness failure,
 3 conformance failure, 4 resource cap.
 
@@ -28,7 +37,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -105,139 +113,102 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Configuration
+# Values: one argparse converter per kind, and the config file as flags
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    phi: CategoricalParam | None
-    xi0: Hyperparameter | None
-    t_max: int | None
-    traj: tuple[int, ...] | None
-    quantities: tuple[str, ...]
-    seed: int
-    samples: int
-    units: str
-    output_format: str
-    output_path: str | None
-
-    def echo(self) -> dict:
-        return {
-            "phi": list(self.phi.probs) if self.phi is not None else None,
-            "xi0": [float(a) for a in self.xi0.alpha] if self.xi0 is not None else None,
-            "tmax": self.t_max,
-            "traj": list(self.traj) if self.traj is not None else None,
-            "quantities": list(self.quantities),
-            "seed": self.seed,
-            "samples": self.samples,
-            "units": self.units,
-            "format": self.output_format,
-        }
-
-
-def _parse_floats(text: str, field: str) -> tuple[float, ...]:
+def _items(text: str, item, kind: str) -> tuple:
+    """The comma-separated items of ``text`` read by ``item``; empty items are skipped."""
     try:
-        return tuple(float(part) for part in text.split(",") if part != "")
+        return tuple(item(part) for part in text.split(",") if part != "")
     except ValueError as exc:
-        raise UsageError(f"invalid {field}: {text!r} ({exc})") from exc
+        raise argparse.ArgumentTypeError(f"invalid {kind}: {text!r} ({exc})") from exc
 
 
-def _parse_symbols(text: str, field: str) -> tuple[int, ...]:
+def _checked(build, values: tuple):
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        return build(values)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _probabilities(text: str) -> CategoricalParam:
+    return _checked(CategoricalParam, _items(text, float, "probabilities"))
+
+
+def _concentrations(text: str) -> Hyperparameter:
+    return _checked(Hyperparameter, _items(text, float, "concentrations"))
+
+
+def _symbols(text: str) -> tuple[int, ...]:
+    return _items(text, int, "symbols")
+
+
+def _quantities(text: str) -> tuple[str, ...]:
+    chosen = tuple(dict.fromkeys(q for q in text.split(",") if q))
+    for q in chosen:
+        if q not in ALL_QUANTITIES:
+            raise argparse.ArgumentTypeError(
+                f"unknown quantity {q!r}; choose from {', '.join(ALL_QUANTITIES)}"
+            )
+    return chosen
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
     except ValueError as exc:
-        raise UsageError(f"invalid {field}: {text!r} ({exc})") from exc
+        raise argparse.ArgumentTypeError(f"invalid integer option: {exc}") from exc
 
 
-def _load_config_file(path: str) -> dict:
+def _is_scalar(value) -> bool:
+    return isinstance(value, (int, float, str)) and not isinstance(value, bool)
+
+
+def _config_flags(path: str, flags: set[str]) -> list[str]:
+    """The ``--key=value`` tokens a JSON config file stands for.
+
+    Each key must be one of ``flags``.  A list becomes its comma-joined text
+    and a number or string its ``str``; any other value is refused.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path!r} must hold a JSON object")
-    return data
+    tokens = []
+    for key, value in data.items():
+        if key not in flags:
+            raise UsageError(
+                f"config file {path!r}: unknown key {key!r}; "
+                f"the keys are the flags {', '.join(sorted(flags))}"
+            )
+        parts = value if isinstance(value, list) else [value]
+        if not all(_is_scalar(part) for part in parts):
+            raise UsageError(
+                f"config file {path!r}: key {key!r} needs a number, a string or a list "
+                f"of them, got {json.dumps(value)}"
+            )
+        tokens.append(f"--{key}=" + ",".join(map(str, parts)))
+    return tokens
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge a JSON config file (if any) with flags; flags win."""
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+class _CommandParser(_Parser):
+    """A command's parser; a ``--config`` file's flags go before the command line's.
 
-    def pick(flag_name: str, file_key: str, default=None):
-        flag_value = getattr(args, flag_name, None)
-        if flag_value is not None:
-            return flag_value
-        if file_key in file_values:
-            return file_values[file_key]
-        return default
+    Argparse keeps the last occurrence of a flag, so a flag on the command
+    line overrides the file.
+    """
 
-    phi_raw = pick("phi", "phi")
-    xi0_raw = pick("xi0", "xi0")
-    traj_raw = pick("traj", "traj")
-    quantities_raw = pick("quantities", "quantities", ("ntic",))
-
-    try:
-        phi = None if phi_raw is None else CategoricalParam(
-            _parse_floats(phi_raw, "phi") if isinstance(phi_raw, str) else tuple(phi_raw)
-        )
-        xi0 = None if xi0_raw is None else Hyperparameter(
-            _parse_floats(xi0_raw, "xi0") if isinstance(xi0_raw, str) else tuple(xi0_raw)
-        )
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-    traj = None
-    if traj_raw is not None:
-        traj = (
-            _parse_symbols(traj_raw, "traj")
-            if isinstance(traj_raw, str)
-            else tuple(int(x) for x in traj_raw)
-        )
-    if isinstance(quantities_raw, str):
-        quantities = tuple(q for q in quantities_raw.split(",") if q)
-    else:
-        quantities = tuple(quantities_raw)
-    quantities = tuple(dict.fromkeys(quantities))
-    for q in quantities:
-        if q not in ALL_QUANTITIES:
-            raise UsageError(f"unknown quantity {q!r}; choose from {', '.join(ALL_QUANTITIES)}")
-
-    units = pick("units", "units", "nats")
-    if units not in ("nats", "bits"):
-        raise UsageError(f"invalid units: {units!r} (expected 'nats' or 'bits')")
-    output_format = pick("format", "format", "csv")
-    if output_format not in ("csv", "json"):
-        raise UsageError(f"invalid format: {output_format!r} (expected 'csv' or 'json')")
-
-    t_max = pick("tmax", "tmax")
-    seed = pick("seed", "seed", 0)
-    samples = pick("samples", "samples", 0)
-    try:
-        t_max = None if t_max is None else int(t_max)
-        seed = int(seed)
-        samples = int(samples)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid integer option: {exc}") from exc
-    if samples < 0:
-        raise UsageError(f"invalid samples: must be >= 0, got {samples}")
-
-    if phi is not None and xi0 is not None and phi.size != xi0.size:
-        raise UsageError(
-            f"phi and xi0 dimensions disagree: {phi.size} vs {xi0.size}"
-        )
-    return RunConfig(
-        phi=phi,
-        xi0=xi0,
-        t_max=t_max,
-        traj=traj,
-        quantities=quantities,
-        seed=seed,
-        samples=samples,
-        units=units,
-        output_format=output_format,
-        output_path=pick("out", "out"),
-    )
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if getattr(parsed, "config", None) is None:
+            return parsed, extras
+        # Every flag of a command with --config is stored under its own name.
+        flags = set(vars(parsed)) - {"config"}
+        return super().parse_known_args([*_config_flags(parsed.config, flags), *args], namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +237,27 @@ def _scale_row(row: dict, units: str) -> dict:
     return {key: (_to_units(v, units) if isinstance(v, float) else v) for key, v in row.items()}
 
 
-def _render(command: str, config: RunConfig, columns: Sequence[str], rows: list[dict]) -> str:
-    rows = [_scale_row(row, config.units) for row in rows]
-    if config.output_format == "csv":
+def _echo(args: argparse.Namespace) -> dict:
+    """The JSON ``config`` object: nine keys, the curve-only ones constant for a trajectory."""
+    curve = args.command == "curve"
+    return {
+        "phi": list(args.phi.probs) if args.phi is not None else None,
+        "xi0": list(args.xi0.as_floats()) if args.xi0 is not None else None,
+        "tmax": args.tmax if curve else None,
+        "traj": None if curve else list(args.traj),
+        "quantities": list(args.quantities if curve else ("ntic",)),
+        "seed": args.seed if curve else 0,
+        "samples": args.samples if curve else 0,
+        "units": args.units,
+        "format": args.format,
+    }
+
+
+def _render(
+    command: str, args: argparse.Namespace, columns: Sequence[str], rows: list[dict]
+) -> str:
+    rows = [_scale_row(row, args.units) for row in rows]
+    if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
@@ -277,7 +266,7 @@ def _render(command: str, config: RunConfig, columns: Sequence[str], rows: list[
         return buffer.getvalue()
     document = {
         "command": command,
-        "config": config.echo(),
+        "config": _echo(args),
         "columns": list(columns),
         "rows": rows,
     }
@@ -292,23 +281,29 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+def _check_sizes(phi: CategoricalParam | None, xi0: Hyperparameter | None) -> None:
+    if phi is not None and xi0 is not None and phi.size != xi0.size:
+        raise UsageError(f"phi and xi0 dimensions disagree: {phi.size} vs {xi0.size}")
+
+
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------
 
 
-def _curve_exact_row(config: RunConfig, t: int) -> dict:
+def _curve_exact_row(
+    phi: CategoricalParam, xi0: Hyperparameter | None, quantities: Sequence[str], t: int
+) -> dict:
     """One last-count table gives every requested quantity."""
-    quantities = config.quantities
-    weights = last_count_weights(config.phi, t)
+    weights = last_count_weights(phi, t)
     row: dict = {"t": t}
     if "ntic" in quantities:
-        entropy = count_entropy_from_weights(config.phi, weights)
-        row["ntic"] = entropy - symbol_entropy(config.phi)
+        entropy = count_entropy_from_weights(phi, weights)
+        row["ntic"] = entropy - symbol_entropy(phi)
     if "one_step_ntic" in quantities:
         row["one_step_ntic"] = one_step_ntic_from_weights(weights)
     if "info_gain" in quantities or "surprise" in quantities:
-        gain, surprise = belief_tables(config.xi0, t)
+        gain, surprise = belief_tables(xi0, t)
         for quantity, table in (("info_gain", gain), ("surprise", surprise)):
             if quantity in quantities:
                 row[quantity] = expectation(weights, table)
@@ -316,13 +311,13 @@ def _curve_exact_row(config: RunConfig, t: int) -> dict:
     return row
 
 
-def _curve_mc_row(config: RunConfig, t: int) -> dict:
-    phi = config.phi
-    batch = sample_trajectories(phi, t, config.samples, [config.seed, t])
+def _curve_mc_row(args: argparse.Namespace, t: int) -> dict:
+    phi = args.phi
+    batch = sample_trajectories(phi, t, args.samples, [args.seed, t])
     # The (samples, K) count matrix in one pass; the sampler only emits symbols < K.
     counts = np.stack([(batch == x).sum(axis=1) for x in range(phi.size)], axis=1)
     row: dict = {"t": t}
-    values: dict[str, list[float]] = {q: [] for q in config.quantities}
+    values: dict[str, list[float]] = {q: [] for q in args.quantities}
     for sample_counts, x in zip(counts.tolist(), batch[:, -1].tolist()):
         c = CountVector(tuple(sample_counts))
         if "ntic" in values:
@@ -330,53 +325,58 @@ def _curve_mc_row(config: RunConfig, t: int) -> dict:
         if "one_step_ntic" in values:
             values["one_step_ntic"].append(math.log(c.counts[x] / t))
         if "info_gain" in values:
-            values["info_gain"].append(one_step_info_gain_from_count(config.xi0, c, x).value)
+            values["info_gain"].append(one_step_info_gain_from_count(args.xi0, c, x).value)
         if "surprise" in values:
-            values["surprise"].append(marginal_surprise_from_count(config.xi0, c, x))
-    for quantity in config.quantities:
-        row[quantity] = math.fsum(values[quantity]) / config.samples
+            values["surprise"].append(marginal_surprise_from_count(args.xi0, c, x))
+    for quantity in args.quantities:
+        row[quantity] = math.fsum(values[quantity]) / args.samples
     row["method"] = "mc"
     return row
 
 
-def cmd_curve(config: RunConfig) -> int:
-    if config.phi is None:
+def cmd_curve(args: argparse.Namespace) -> int:
+    phi, t_max, quantities = args.phi, args.tmax, args.quantities
+    if phi is None:
         raise UsageError("curve needs phi (flag --phi or config key 'phi')")
-    if config.t_max is None or config.t_max < 1:
-        raise UsageError(f"curve needs tmax >= 1, got {config.t_max!r}")
-    for q in config.quantities:
+    if t_max is None or t_max < 1:
+        raise UsageError(f"curve needs tmax >= 1, got {t_max!r}")
+    if args.samples < 0:
+        raise UsageError(f"invalid samples: must be >= 0, got {args.samples}")
+    _check_sizes(phi, args.xi0)
+    for q in quantities:
         if q not in CURVE_QUANTITIES:
             raise UsageError(
                 f"quantity {q!r} is per-trajectory; use the 'trajectory' command"
             )
-    if ("info_gain" in config.quantities or "surprise" in config.quantities) and config.xi0 is None:
+    if ("info_gain" in quantities or "surprise" in quantities) and args.xi0 is None:
         raise UsageError("quantities info_gain and surprise need xi0")
 
     # Count space grows with t, so every row from the first one over the cap is sampled.
     first_mc = next(
-        (t for t in range(1, config.t_max + 1)
-         if count_space_size(config.phi.size, t) > EXACT_MODE_CAP),
-        config.t_max + 1,
+        (t for t in range(1, t_max + 1) if count_space_size(phi.size, t) > EXACT_MODE_CAP),
+        t_max + 1,
     )
-    if first_mc <= config.t_max:
-        if config.samples < 1:
+    if first_mc <= t_max:
+        if args.seed < 0:
+            raise UsageError(f"invalid seed: Monte Carlo rows need seed >= 0, got {args.seed}")
+        if args.samples < 1:
             raise ResourceCapError(
                 f"count space at t={first_mc} exceeds the exact-mode cap of {EXACT_MODE_CAP}; "
-                f"Monte Carlo mode needs --samples N (got {config.samples})"
+                f"Monte Carlo mode needs --samples N (got {args.samples})"
             )
-        estimate = config.samples * config.t_max * 24
+        estimate = args.samples * t_max * 24
         if estimate > MC_BUDGET_BYTES:
             raise ResourceCapError(
-                f"Monte Carlo rows up to t={config.t_max} with {config.samples} samples "
+                f"Monte Carlo rows up to t={t_max} with {args.samples} samples "
                 f"would take about {estimate} bytes, exceeding the budget of "
                 f"{MC_BUDGET_BYTES}; lower --samples or --tmax"
             )
     rows = [
-        _curve_exact_row(config, t) if t < first_mc else _curve_mc_row(config, t)
-        for t in range(1, config.t_max + 1)
+        _curve_exact_row(phi, args.xi0, quantities, t) if t < first_mc else _curve_mc_row(args, t)
+        for t in range(1, t_max + 1)
     ]
-    columns = ["t", *config.quantities, "method"]
-    _emit(_render("curve", config, columns, rows), config.output_path)
+    columns = ["t", *quantities, "method"]
+    _emit(_render("curve", args, columns, rows), args.out)
     return EXIT_OK
 
 
@@ -385,13 +385,14 @@ def cmd_curve(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_trajectory(config: RunConfig) -> int:
-    if config.traj is None:
+def cmd_trajectory(args: argparse.Namespace) -> int:
+    phi, xi0, traj = args.phi, args.xi0, args.traj
+    if traj is None:
         raise UsageError("trajectory needs a symbol sequence (flag --traj or config key 'traj')")
-    if config.xi0 is None:
+    if xi0 is None:
         raise UsageError("trajectory needs xi0 for the belief-side quantities")
-    k = config.xi0.size
-    traj = config.traj
+    _check_sizes(phi, xi0)
+    k = xi0.size
     for x in traj:
         if x < 0 or x >= k:
             raise UsageError(f"traj symbol {x} outside alphabet of size {k}")
@@ -405,19 +406,19 @@ def cmd_trajectory(config: RunConfig) -> int:
         rows.append({
             "t": upto,
             "pointwise_ntic": (
-                pointwise_ntic_from_count(config.phi, c, last) if config.phi is not None else None
+                pointwise_ntic_from_count(phi, c, last) if phi is not None else None
             ),
             "one_step_pointwise_ntic": one_step,
             "hindsight_empirical_surprise": -one_step,
             "marginal_surprise_next": (
-                marginal_surprise_from_count(config.xi0, c, traj[upto]) if upto < len(traj) else None
+                marginal_surprise_from_count(xi0, c, traj[upto]) if upto < len(traj) else None
             ),
-            "hindsight_marginal_surprise": marginal_surprise_from_count(config.xi0, c, last),
-            "one_step_info_gain": one_step_info_gain_from_count(config.xi0, c, last).value,
-            "full_past_info_gain": full_past_info_gain_from_count(config.xi0, c),
+            "hindsight_marginal_surprise": marginal_surprise_from_count(xi0, c, last),
+            "one_step_info_gain": one_step_info_gain_from_count(xi0, c, last).value,
+            "full_past_info_gain": full_past_info_gain_from_count(xi0, c),
         })
     columns = ["t", *TRAJECTORY_COLUMNS]
-    _emit(_render("trajectory", config, columns, rows), config.output_path)
+    _emit(_render("trajectory", args, columns, rows), args.out)
     return EXIT_OK
 
 
@@ -426,7 +427,8 @@ def cmd_trajectory(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_witness(traj: tuple[int, ...], xi0_a: Hyperparameter, xi0_b: Hyperparameter, units: str) -> int:
+def cmd_witness(args: argparse.Namespace) -> int:
+    traj, xi0_a, xi0_b, units = args.traj, args.xi0_a, args.xi0_b, args.units
     report = ntic_ig_divergence_witness(traj, xi0_a, xi0_b)
 
     def shown(value: float) -> str:
@@ -449,10 +451,8 @@ def cmd_witness(traj: tuple[int, ...], xi0_a: Hyperparameter, xi0_b: Hyperparame
 # ---------------------------------------------------------------------------
 
 
-def cmd_conformance(
-    max_k: int, max_t: int, tolerance: float, jobs: int, out: str | None
-) -> int:
-    result = run_conformance(max_k=max_k, max_t=max_t, tolerance=tolerance, jobs=jobs)
+def cmd_conformance(args: argparse.Namespace) -> int:
+    result = run_conformance(max_k=args.max_k, max_t=args.max_t, jobs=args.jobs)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     by_quantity: dict[str, list] = {}
@@ -476,7 +476,7 @@ def cmd_conformance(
         },
         "records": [r.to_json_dict() for r in result.records],
     }
-    _emit(json.dumps(document, indent=2) + "\n", out)
+    _emit(json.dumps(document, indent=2) + "\n", args.out)
     return EXIT_OK if result.all_passed else EXIT_CONFORMANCE
 
 
@@ -486,64 +486,69 @@ def cmd_conformance(
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--phi", help="comma-separated probabilities, e.g. 0.5,0.5")
-    parser.add_argument("--xi0", help="comma-separated concentration components, e.g. 1,1")
-    parser.add_argument("--units", choices=("nats", "bits"), help="output units")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
+    parser.add_argument(
+        "--phi", type=_probabilities, help="comma-separated probabilities, e.g. 0.5,0.5"
+    )
+    parser.add_argument(
+        "--xi0", type=_concentrations, help="comma-separated concentration components, e.g. 1,1"
+    )
+    parser.add_argument("--units", choices=("nats", "bits"), default="nats", help="output units")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     parser.add_argument("--out", help="output file path (stdout when omitted)")
-    parser.add_argument("--config", help="JSON config file; flags override its values")
+    parser.add_argument(
+        "--config", help="JSON object of this command's flags and values; flags given here win"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="infoclosure", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     curve = sub.add_parser("curve", help="expected quantities over t = 1..tmax")
     _add_common_flags(curve)
-    curve.add_argument("--tmax", help="largest time step")
-    curve.add_argument("--quantities", help=f"comma-separated subset of {','.join(CURVE_QUANTITIES)}")
-    curve.add_argument("--seed", help="RNG seed for Monte Carlo mode")
-    curve.add_argument("--samples", help="Monte Carlo sample count")
+    curve.add_argument("--tmax", type=_integer, help="largest time step")
+    curve.add_argument(
+        "--quantities",
+        type=_quantities,
+        default=("ntic",),
+        help=f"comma-separated subset of {','.join(CURVE_QUANTITIES)}",
+    )
+    curve.add_argument("--seed", type=_integer, default=0, help="RNG seed for Monte Carlo mode")
+    curve.add_argument("--samples", type=_integer, default=0, help="Monte Carlo sample count")
 
     trajectory = sub.add_parser("trajectory", help="pointwise quantities per prefix")
     _add_common_flags(trajectory)
-    trajectory.add_argument("--traj", help="comma-separated symbol indices, e.g. 0,1,0")
+    trajectory.add_argument(
+        "--traj", type=_symbols, help="comma-separated symbol indices, e.g. 0,1,0"
+    )
 
     witness = sub.add_parser("witness", help="closure-vs-gain divergence witness")
-    witness.add_argument("--traj", required=True)
-    witness.add_argument("--xi0-a", required=True, dest="xi0_a")
-    witness.add_argument("--xi0-b", required=True, dest="xi0_b")
+    witness.add_argument("--traj", type=_symbols, required=True)
+    witness.add_argument("--xi0-a", type=_concentrations, required=True, dest="xi0_a")
+    witness.add_argument("--xi0-b", type=_concentrations, required=True, dest="xi0_b")
     witness.add_argument("--units", choices=("nats", "bits"), default="nats")
 
     conformance = sub.add_parser("conformance", help="oracle-vs-closed-form grid")
-    conformance.add_argument("--max-k", type=int, default=3)
-    conformance.add_argument("--max-t", type=int, default=6)
-    conformance.add_argument("--tolerance", type=float, default=1e-10)
-    conformance.add_argument("--jobs", type=int, default=1)
+    conformance.add_argument("--max-k", type=_integer, default=3)
+    conformance.add_argument("--max-t", type=_integer, default=6)
+    conformance.add_argument("--jobs", type=_integer, default=1)
     conformance.add_argument("--out")
 
     return parser
 
 
+_COMMANDS = {
+    "curve": cmd_curve,
+    "trajectory": cmd_trajectory,
+    "witness": cmd_witness,
+    "conformance": cmd_conformance,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "curve":
-            return cmd_curve(_build_config(args))
-        if args.command == "trajectory":
-            return cmd_trajectory(_build_config(args))
-        if args.command == "witness":
-            traj = _parse_symbols(args.traj, "traj")
-            try:
-                xi0_a = Hyperparameter(_parse_floats(args.xi0_a, "xi0-a"))
-                xi0_b = Hyperparameter(_parse_floats(args.xi0_b, "xi0-b"))
-            except DomainError as exc:
-                raise UsageError(str(exc)) from exc
-            return cmd_witness(traj, xi0_a, xi0_b, args.units)
-        if args.command == "conformance":
-            return cmd_conformance(args.max_k, args.max_t, args.tolerance, args.jobs, args.out)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

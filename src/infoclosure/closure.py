@@ -112,8 +112,7 @@ def last_count_weights(phi: CategoricalParam, t: int) -> np.ndarray:
     if size > TABLE_TERM_CAP:
         raise ResourceCapError(
             f"the last-count table for k={phi.size}, t={t} has {size} entries, "
-            f"exceeding the cap of {TABLE_TERM_CAP}; use Monte Carlo mode (sampled "
-            f"trajectories with plug-in pointwise estimates)"
+            f"exceeding the cap of {TABLE_TERM_CAP}; ask for a smaller t"
         )
     log_fact = log_factorials(t)
     n = np.arange(1, t + 1)

@@ -17,7 +17,7 @@ class ResourceCapError(InfoClosureError, RuntimeError):
     """An enumeration or allocation would exceed its fixed size cap or budget.
 
     The message gives the size asked for and carries a remediation hint
-    (typically: switch to Monte Carlo mode, or ask for fewer states or samples).
+    (typically: ask for a smaller t, or for fewer states or samples).
     """
 
 

@@ -31,8 +31,7 @@ each reduced with one ``math.fsum`` as well.
 
 ``JointTable.marginals`` keys the same groups by the realised counter states
 xi0 + counts, exact rationals built once per group.  Only these labels read
-the start: ``JointTable.relabel`` gives the table of another start, sharing
-the trajectory, probability, count and group arrays, so one enumeration per
+the start; the groups and the definitional sums do not, so one table per
 (phi, t) serves every start.
 
 The quadrature is numpy alone: a tanh-sinh rule whose Beta densities are
@@ -43,7 +42,6 @@ closed-form-vs-oracle comparison free of shared code.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Sequence
@@ -148,8 +146,7 @@ class JointTable:
 
     Rows enumerate every nonzero-probability trajectory of length t; both
     counter states are uniquely determined per row, so only the trajectory is
-    stored.  The row groupings of the marginals do not depend on the start
-    and are shared by every ``relabel`` of the table.
+    stored.  The row groupings of the marginals do not depend on the start.
     """
 
     k: int
@@ -176,15 +173,6 @@ class JointTable:
             if n:
                 p *= self.phi.probs[x] ** n
         return p
-
-    def relabel(self, xi0: Hyperparameter) -> JointTable:
-        """The same joint under another counter start.
-
-        Shares the trajectory, probability, count and group arrays with this
-        table; only the state labels of ``marginals`` change.
-        """
-        _check_sizes(self.phi, xi0)
-        return dataclasses.replace(self, xi0=xi0, _marginals=None)
 
     # -- marginal groupings ------------------------------------------------
     def _last(self) -> np.ndarray:

@@ -291,13 +291,22 @@ def log_factorials(n: int) -> np.ndarray:
     Same split as ``log_count_cardinality``: the log of the exact integer
     while m <= 64, ``log_gamma(m + 1)`` above.  The entries come from one
     table that grows to the largest n asked for, so each is computed once
-    per process and keeps its value bit for bit.
+    per process and keeps its value bit for bit.  The table is a prefix of a
+    buffer whose capacity at least doubles when it is outgrown, so an
+    ascending sweep to n copies O(n) entries in O(log n) reallocations.
     """
     global _log_factorial_table
     table = _log_factorial_table
     if n >= len(table):
-        large = [log_gamma(m + 1.0) for m in range(len(table), n + 1)]
-        table = np.concatenate((table, large))
+        filled = len(table)
+        buffer = table.base
+        if buffer is None or not buffer.flags.writeable or n >= len(buffer):
+            buffer = np.empty(max(n + 1, 2 * filled))
+            buffer[:filled] = table
+        # Entries below ``filled`` are never written again, so slices handed
+        # out earlier keep their values.
+        buffer[filled : n + 1] = [log_gamma(m + 1.0) for m in range(filled, n + 1)]
+        table = buffer[: n + 1]
         table.flags.writeable = False
         _log_factorial_table = table
     return table[: n + 1]

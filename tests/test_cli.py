@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import infoclosure.cli as cli
+import infoclosure.conformance as conformance
 
 
 def run_cli(*args):
@@ -120,6 +121,14 @@ class TestCurve:
         assert out == ""
         assert reason in err
 
+    def test_monte_carlo_refuses_a_negative_seed(self, monkeypatch):
+        monkeypatch.setattr(cli, "EXACT_MODE_CAP", 3)
+        argv = ("curve", "--phi", "0.5,0.5", "--samples", "10", "--seed", "-1", "--tmax")
+        assert run_cli(*argv, "2")[0] == 0  # exact rows never read the seed
+        rc, out, err = run_cli(*argv, "3")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error:") and "seed" in err
+
     def test_monte_carlo_budget_bounds_samples_times_tmax(self, monkeypatch):
         monkeypatch.setattr(cli, "EXACT_MODE_CAP", 3)
         monkeypatch.setattr(cli, "MC_BUDGET_BYTES", 24 * 200 * 4)
@@ -219,6 +228,7 @@ class TestFlags:
             ("trajectory", "--traj", "0,1", "--xi0", "1,1", "--quantities", "ntic"),
             ("trajectory", "--traj", "0,1", "--xi0", "1,1", "--seed", "2"),
             ("trajectory", "--traj", "0,1", "--xi0", "1,1", "--samples", "3"),
+            ("conformance", "--max-k", "2", "--max-t", "1", "--tolerance", "0"),
         ],
     )
     def test_a_flag_the_command_does_not_read_is_a_usage_error(self, argv):
@@ -226,6 +236,117 @@ class TestFlags:
         assert rc == 1
         assert out == ""
         assert "unrecognized arguments" in err
+
+
+Q4 = ["ntic", "one_step_ntic", "info_gain", "surprise"]
+
+# (command, config file, the same values as flags, flags that override the file)
+VALID_CONFIGS = [
+    (
+        "curve",
+        {"phi": [0.2, 0.3, 0.5], "xi0": [0.5, 2, 1.25], "tmax": 3, "quantities": Q4,
+         "format": "json", "units": "bits"},
+        ("--phi", "0.2,0.3,0.5", "--xi0", "0.5,2,1.25", "--tmax", "3",
+         "--quantities", ",".join(Q4), "--format", "json", "--units", "bits"),
+        ("--units", "nats", "--xi0", "1,1,1"),
+    ),
+    (
+        "curve",
+        {"phi": "0.5,0.5", "tmax": "3", "quantities": "ntic,one_step_ntic"},
+        ("--phi", "0.5,0.5", "--tmax", "3", "--quantities", "ntic,one_step_ntic"),
+        ("--tmax", "2", "--phi", "0.25,0.75"),
+    ),
+    (
+        "curve",
+        # K = 10: rows from t = 15 are Monte Carlo.
+        {"phi": [0.1] * 10, "xi0": [1] * 10, "tmax": 15, "quantities": ["ntic", "info_gain"],
+         "samples": 40, "seed": 3, "format": "json"},
+        ("--phi", ",".join(["0.1"] * 10), "--xi0", ",".join(["1"] * 10), "--tmax", "15",
+         "--quantities", "ntic,info_gain", "--samples", "40", "--seed", "3", "--format", "json"),
+        ("--seed", "4", "--samples", "30"),
+    ),
+    (
+        "trajectory",
+        {"traj": [0, 1, 1, 0], "xi0": [1, 2.5], "phi": [0.4, 0.6], "format": "json"},
+        ("--traj", "0,1,1,0", "--xi0", "1,2.5", "--phi", "0.4,0.6", "--format", "json"),
+        ("--traj", "1,0", "--format", "csv"),
+    ),
+    (
+        "trajectory",
+        {"traj": 0, "xi0": 2, "units": "bits"},
+        ("--traj", "0", "--xi0", "2", "--units", "bits"),
+        ("--traj", "", "--format", "json"),
+    ),
+]
+
+# (command, config file, text the one error line must hold)
+REFUSED_CONFIGS = [
+    ("trajectory", {"traj": [0.7, 1.2], "xi0": [1, 1]}, "--traj"),
+    ("curve", {"phi": [0.5, 0.5], "tmax": 2.9}, "--tmax"),
+    ("curve", {"phi": [0.5, 0.5], "tmax": 3.0}, "--tmax"),
+    ("curve", {"phi": 5, "tmax": 2}, "--phi"),
+    ("curve", {"phi": [0.5, 0.5], "tmax": 2, "samples": True}, "'samples'"),
+    ("curve", {"phi": [0.5, 0.5], "tmax": 2, "bogus": 1}, "'bogus'"),
+    ("curve", {"phi": [0.5, 0.5], "tmax": 2, "traj": [0, 1]}, "'traj'"),
+    ("curve", {"phi": [0.5, 0.5], "tmax": 2, "config": "other.json"}, "'config'"),
+    ("trajectory", {"traj": [0, 1], "xi0": [1, 1], "tmax": 5}, "'tmax'"),
+    ("trajectory", {"traj": [0, 1], "xi0": [1, 1], "seed": 2}, "'seed'"),
+    ("trajectory", {"traj": [0, 1], "xi0": [1, 1], "samples": 3}, "'samples'"),
+    ("trajectory", {"traj": [0, 1], "xi0": [1, 1], "quantities": ["ntic"]}, "'quantities'"),
+    ("curve", {"phi": [0.5, 0.5], "tmax": 2, "xi0": None}, "'xi0'"),
+    ("curve", {"phi": [0.5, 0.5], "tmax": 2, "quantities": None}, "'quantities'"),
+    ("curve", {"phi": [0.5, 0.5], "tmax": None}, "'tmax'"),
+    ("trajectory", {"traj": [0, 1], "xi0": [1, 1], "phi": None}, "'phi'"),
+    ("curve", {"phi": [0.5, 0.5], "tmax": 2, "xi0": ["1/2", "1"]}, "--xi0"),
+    ("trajectory", {"traj": [0, 1], "xi0": ["1/2", 1]}, "--xi0"),
+    ("curve", {"phi": [[0.5], [0.5]], "tmax": 2}, "'phi'"),
+    ("curve", {"phi": {"a": 1}, "tmax": 2}, "'phi'"),
+    ("curve", {"phi": [0.5, 0.5], "tmax": 2, "seed": False}, "'seed'"),
+    ("curve", ["phi", 0.5], "JSON object"),
+]
+
+
+def write_config(tmp_path, content):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(content))
+    return str(path)
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command, content, flags, overrides", VALID_CONFIGS)
+    def test_file_prints_the_bytes_of_its_flags(self, tmp_path, command, content, flags, overrides):
+        config = write_config(tmp_path, content)
+        alone = run_cli(command, "--config", config)
+        assert alone == run_cli(command, *flags)
+        assert alone[0] == 0 and alone[2] == ""
+        overridden = run_cli(command, "--config", config, *overrides)
+        assert overridden == run_cli(command, *flags, *overrides)
+        assert overridden[0] == 0
+        assert overridden[1] != alone[1]  # the command line won
+
+    def test_out_key_names_the_output_file(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        config = write_config(tmp_path, {"phi": [0.5, 0.5], "tmax": 3, "out": str(a)})
+        assert run_cli("curve", "--config", config) == (0, "", "")
+        assert run_cli("curve", "--phi", "0.5,0.5", "--tmax", "3", "--out", str(b)) == (0, "", "")
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command, content, named", REFUSED_CONFIGS)
+    def test_refused_with_one_error_line(self, tmp_path, command, content, named):
+        rc, out, err = run_cli(command, "--config", write_config(tmp_path, content))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+
+    def test_unreadable_file_is_a_usage_error(self, tmp_path):
+        rc, out, err = run_cli("curve", "--config", str(tmp_path / "missing.json"))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: cannot read config file")
+        (tmp_path / "bad.json").write_bytes(b"\xff{")
+        rc, out, err = run_cli("curve", "--config", str(tmp_path / "bad.json"))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: cannot read config file")
 
 
 class TestWitness:
@@ -257,8 +378,9 @@ class TestConformance:
         record = document["records"][0]
         assert set(record) == {"quantity", "context", "closed_form", "oracle", "abs_diff", "pass"}
 
-    def test_impossible_tolerance_fails_with_exit_three(self):
-        rc, out, _ = run_cli("conformance", "--max-k", "2", "--max-t", "3", "--tolerance", "0")
+    def test_impossible_tolerance_fails_with_exit_three(self, monkeypatch):
+        monkeypatch.setattr(conformance, "CLOSURE_TOLERANCE", 0.0)
+        rc, out, _ = run_cli("conformance", "--max-k", "2", "--max-t", "3")
         assert rc == 3
         assert "FAILED" in out
 

@@ -38,11 +38,13 @@ class TestRunner:
     def test_reduced_grid_on_tight_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_JOINT_CAP", 8)
         result = run_conformance(max_k=2, max_t=4)
-        assert result.warnings  # t=4 joints exceed the cap and get skipped
+        # t=4 joints exceed the cap and get skipped, one warning per start.
+        assert len(result.warnings) == 5 * len(conformance.XI0_GRIDS[2])
         assert result.all_passed  # skipping is a warning, not a failure
 
-    def test_zero_tolerance_fails(self):
-        result = run_conformance(max_k=2, max_t=2, tolerance=0.0)
+    def test_zero_tolerance_fails(self, monkeypatch):
+        monkeypatch.setattr(conformance, "CLOSURE_TOLERANCE", 0.0)
+        result = run_conformance(max_k=2, max_t=2)
         assert not result.all_passed
 
     def test_parallel_matches_serial(self):
@@ -120,6 +122,19 @@ class TestRunner:
         result = run_conformance(max_k=3, max_t=8)
         assert len(builds) == len(set(builds)) == 2 * 5 * 8
         assert result.total == 820 and result.all_passed
+
+    def test_one_oracle_evaluation_per_grid_point(self, monkeypatch):
+        calls = []
+        transfer_entropy = conformance.oracle_transfer_entropy
+
+        def counting_te(joint):
+            calls.append((joint.phi.probs, joint.t))
+            return transfer_entropy(joint)
+
+        monkeypatch.setattr(conformance, "oracle_transfer_entropy", counting_te)
+        result = run_conformance(max_k=3, max_t=4)
+        assert len(calls) == len(set(calls)) == 2 * 5 * 4
+        assert result.all_passed
 
     def test_spread_check_can_fail(self):
         # Negative control: the expected one-step information gain depends on

@@ -1,13 +1,14 @@
 """Pinned output bytes of the commands whose digits must not move.
 
 The expected files under ``golden/`` and the strings below are CLI outputs
-kept byte for byte: trajectory tables, a seeded Monte Carlo curve and the
-README witness.  A refactor that changes any digit here changes what users
-read.
+kept byte for byte: trajectory tables, a seeded Monte Carlo curve, an exact
+JSON curve (also read from a config file) and the README witness.  A
+refactor that changes any digit here changes what users read.
 """
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,76 @@ t,ntic,one_step_ntic,info_gain,surprise,method
 2,0.849601803810866,-0.29458755173797674,0.21219673702524652,0.7501471090947069,mc
 3,0.9568739002387259,-0.6768348285493234,0.2070211794207113,0.8599282963639009,mc
 4,1.358874612577037,-0.772259750484185,0.2079646913566957,0.9290546258006703,mc
+"""
+
+# An exact curve with every quantity, in bits: the JSON document echoes all
+# nine config keys, "traj": null included.
+CURVE_EXACT_ARGS = (
+    "curve", "--phi", "0.2,0.3,0.5", "--xi0", "0.5,2,1.25", "--tmax", "3",
+    "--quantities", "ntic,one_step_ntic,info_gain,surprise", "--format", "json", "--units", "bits",
+)
+CURVE_EXACT_JSON_BITS = """\
+{
+  "command": "curve",
+  "config": {
+    "phi": [
+      0.2,
+      0.3,
+      0.5
+    ],
+    "xi0": [
+      0.5,
+      2.0,
+      1.25
+    ],
+    "tmax": 3,
+    "traj": null,
+    "quantities": [
+      "ntic",
+      "one_step_ntic",
+      "info_gain",
+      "surprise"
+    ],
+    "seed": 0,
+    "samples": 0,
+    "units": "bits",
+    "format": "json"
+  },
+  "columns": [
+    "t",
+    "ntic",
+    "one_step_ntic",
+    "info_gain",
+    "surprise",
+    "method"
+  ],
+  "rows": [
+    {
+      "t": 1,
+      "ntic": 0.0,
+      "one_step_ntic": 0.0,
+      "info_gain": 0.3780897145338896,
+      "surprise": 1.0704837623618513,
+      "method": "exact"
+    },
+    {
+      "t": 2,
+      "ntic": 0.8654752972273343,
+      "one_step_ntic": -0.62,
+      "info_gain": 0.3294091768417419,
+      "surprise": 1.1466575270988395,
+      "method": "exact"
+    },
+    {
+      "t": 3,
+      "ntic": 1.4595820938488977,
+      "one_step_ntic": -0.8913685006057713,
+      "info_gain": 0.2882199073924888,
+      "surprise": 1.2009851085820853,
+      "method": "exact"
+    }
+  ]
+}
 """
 
 WITNESS_TAIL = (
@@ -85,3 +156,20 @@ def test_monte_carlo_curve_bytes(monkeypatch):
 def test_witness_readme_example_bytes(units):
     out = stdout_of("witness", "--traj", "0", "--xi0-a", "1,1", "--xi0-b", "10,10", "--units", units)
     assert out == WITNESS[units]
+
+
+def test_exact_curve_json_bytes():
+    assert stdout_of(*CURVE_EXACT_ARGS) == CURVE_EXACT_JSON_BITS
+
+
+def test_config_file_prints_the_same_bytes(tmp_path):
+    config = tmp_path / "curve.json"
+    config.write_text(json.dumps({
+        "phi": [0.2, 0.3, 0.5],
+        "xi0": [0.5, 2, 1.25],
+        "tmax": 3,
+        "quantities": ["ntic", "one_step_ntic", "info_gain", "surprise"],
+        "format": "json",
+        "units": "bits",
+    }))
+    assert stdout_of("curve", "--config", str(config)) == CURVE_EXACT_JSON_BITS

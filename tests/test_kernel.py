@@ -37,11 +37,7 @@ def compositions(k, t):
 
 
 def curve_row(phi, xi0, t):
-    config = cli.RunConfig(
-        phi=phi, xi0=xi0, t_max=t, traj=None, quantities=QUANTITIES, seed=0,
-        samples=0, units="nats", output_format="csv", output_path=None,
-    )
-    return cli._curve_exact_row(config, t)
+    return cli._curve_exact_row(phi, xi0, QUANTITIES, t)
 
 
 def scalar_row(phi, xi0, t):
@@ -304,4 +300,22 @@ class TestLattice:
         for n in range(1, 211):
             process.log_factorials(n)
         assert len(calls) == 210 - 64
+
+    def test_log_factorials_grow_by_doubling(self, monkeypatch):
+        # An ascending sweep, one new entry per call, reallocates the table's
+        # buffer O(log n) times: every slice handed out is a view of one of
+        # few buffers, and the entries stay those of a single growth.
+        monkeypatch.setattr(process, "_log_factorial_table", process._EXACT_LOG_FACTORIALS)
+        buffers = []
+        for n in range(10_000 + 1):
+            table = process.log_factorials(n)
+            assert not table.flags.writeable
+            if table.base is not None and all(table.base is not b for b in buffers):
+                buffers.append(table.base)
+        assert len(buffers) <= math.ceil(math.log2(10_000 / 64)) + 1
+        whole = process.log_factorials(10_000)
+        assert whole.tolist() == [
+            math.log(math.factorial(m)) if m <= 64 else process.log_gamma(m + 1.0)
+            for m in range(10_001)
+        ]
 
