@@ -14,23 +14,32 @@ that depend on that interpretation:
   whole trajectory), via the log-gamma/digamma closed form whose validity the
   oracle module's quadrature confirms.
 
-The marginal-surprise term inside the one-step gain is computed from the
-prior and the trajectory's counts directly rather than by replaying the
-trajectory; the replay route exists in the tests as an independent check.
+Every quantity here is one formula over integers.  With the prior written
+as N_x / D over one common denominator
+(``Hyperparameter.over_common_denominator``), the counter after counts c is
+(N_x + c_x D) / D, so the predictive probability is the int ratio
+(N_x + c_x D) / (N_tot + t D) and the one-step surprise term the same ratio
+one observation earlier.  Python's int / int division is correctly rounded,
+as the float of the exact rational is, so the values are the exact-rational
+ones with no ``Fraction`` arithmetic.  The digamma and log-gamma values sit
+on the unit-step lattices a_x + n and |xi0| + t.  The scalar functions and
+``belief_tables`` read them through ``special.shifted``, which computes each
+once per process, so a sweep over t or a loop over Monte Carlo samples only
+evaluates points it has not met before; ``trajectory_beliefs`` carries them
+from one prefix to the next.
 
 The one-step gain and the hindsight marginal surprise of a last symbol x
 depend on a count vector c only through (x, c_x, t).  ``belief_tables``
-evaluates them once per (x, c_x) for a whole time step, from the same
-exact-rational expressions as the per-state functions, so a table entry
-equals the per-state value bit for bit and count-space passes only index it.
+evaluates them once per (x, c_x) for a whole time step with the same
+formulas as the per-state functions, so a table entry equals the per-state
+value bit for bit and count-space passes only index it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,11 +53,10 @@ from .errors import (
 from .process import (
     CountVector,
     Hyperparameter,
-    add_counts,
     count,
     validate_trajectory,
 )
-from .special import digamma, log_gamma
+from .special import digamma, log_gamma, shifted, shifted_column
 
 # KL values in (-_KL_SLACK, 0) are rounding artifacts and clamp to 0; anything
 # more negative indicates a real defect and raises.
@@ -87,7 +95,13 @@ class WitnessReport:
         return abs(self.info_gain_a.value - self.info_gain_b.value)
 
 
-def _clamp_kl(value: float) -> float:
+def _clamp_kl(value):
+    """A KL value, or an array of them clamped in place entry by entry."""
+    if isinstance(value, np.ndarray):
+        off = ~(value >= 0.0)
+        if off.any():
+            value[off] = [_clamp_kl(v) for v in value[off].tolist()]
+        return value
     if value >= 0.0:
         return value
     if value > -_KL_SLACK:
@@ -100,11 +114,28 @@ def _clamp_kl(value: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def posterior_predictive(xi: Hyperparameter, x: int) -> float:
-    """Probability of symbol x after marginalizing the belief: (xi)_x / |xi|."""
+def _check_symbol(xi: Hyperparameter, x: int) -> None:
     if x < 0 or x >= xi.size:
         raise AlphabetMismatchError(f"symbol {x} outside alphabet of size {xi.size}")
-    return float(xi.alpha[x] / xi.total)
+
+
+def _check_counts(xi: Hyperparameter, c: CountVector) -> None:
+    if c.size != xi.size:
+        raise AlphabetMismatchError(
+            f"count vector of size {c.size} does not match hyperparameter of size {xi.size}"
+        )
+
+
+def _surprise(post: int, post_total: int) -> float:
+    """-log(post / post_total) for a counter component and total scaled by D."""
+    return -math.log(post / post_total)
+
+
+def posterior_predictive(xi: Hyperparameter, x: int) -> float:
+    """Probability of symbol x after marginalizing the belief: (xi)_x / |xi|."""
+    _check_symbol(xi, x)
+    nums, _ = xi.over_common_denominator
+    return nums[x] / sum(nums)
 
 
 def marginal_surprise_from_count(xi0: Hyperparameter, c: CountVector, x: int) -> float:
@@ -112,7 +143,10 @@ def marginal_surprise_from_count(xi0: Hyperparameter, c: CountVector, x: int) ->
 
     Count-level core of ``marginal_surprise``: -log pred(xi0 + c, x).
     """
-    return -math.log(posterior_predictive(add_counts(xi0, c), x))
+    _check_counts(xi0, c)
+    _check_symbol(xi0, x)
+    nums, den = xi0.over_common_denominator
+    return _surprise(nums[x] + c.counts[x] * den, sum(nums) + c.total * den)
 
 
 def marginal_surprise(xi0: Hyperparameter, traj: Sequence[int], x: int) -> float:
@@ -136,9 +170,9 @@ def hindsight_empirical_surprise(traj: Sequence[int]) -> float:
 
 def expected_log_predictive(xi: Hyperparameter, x: int) -> float:
     """Belief-expected log probability of x: digamma((xi)_x) - digamma(|xi|)."""
-    if x < 0 or x >= xi.size:
-        raise AlphabetMismatchError(f"symbol {x} outside alphabet of size {xi.size}")
-    return digamma(float(xi.alpha[x])) - digamma(float(xi.total))
+    _check_symbol(xi, x)
+    nums, den = xi.over_common_denominator
+    return digamma(nums[x] / den) - digamma(sum(nums) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -146,27 +180,15 @@ def expected_log_predictive(xi: Hyperparameter, x: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _one_step_gain(
-    a: Fraction, n: int, total0: Fraction, t: int, digamma_total: float
-) -> InfoGainReport:
-    """One-step gain of a last symbol with prior component ``a`` and count n >= 1.
+def _gain(surprise_term, digamma_post, digamma_total):
+    """One-step gain from its surprise term and the posterior's digamma values.
 
-    ``total0`` is the prior's total, t the trajectory length, and
-    ``digamma_total`` = digamma(float(total0 + t)); the posterior component
-    of the symbol is a + n.
+    ``digamma_post`` is psi of the last symbol's posterior component and
+    ``digamma_total`` psi of the posterior total; the expected hindsight term
+    is -(digamma_post - digamma_total).  Floats, or arrays elementwise: the
+    same IEEE operations give the same bits.
     """
-    # Marginal surprise of x before it was incorporated, written in terms of
-    # the full-trajectory counts; the numerator is strictly positive because
-    # n >= 1 and every prior component is > 0.
-    ratio = (a - 1 + n) / (total0 - 1 + t)
-    surprise_term = -math.log(float(ratio))
-    expected_hindsight = -(digamma(float(a + n)) - digamma_total)
-    value = _clamp_kl(surprise_term - expected_hindsight)
-    return InfoGainReport(
-        value=value,
-        surprise_term=surprise_term,
-        expected_hindsight_term=expected_hindsight,
-    )
+    return _clamp_kl(surprise_term - -(digamma_post - digamma_total))
 
 
 def one_step_info_gain_from_count(xi0: Hyperparameter, c: CountVector, x: int) -> InfoGainReport:
@@ -174,18 +196,46 @@ def one_step_info_gain_from_count(xi0: Hyperparameter, c: CountVector, x: int) -
 
     Count-level core of ``one_step_info_gain``; requires c_x >= 1.
     """
-    if x < 0 or x >= xi0.size:
-        raise AlphabetMismatchError(f"symbol {x} outside alphabet of size {xi0.size}")
-    if c.size != xi0.size:
-        raise AlphabetMismatchError(
-            f"count vector of size {c.size} does not match prior of size {xi0.size}"
-        )
-    if c.counts[x] < 1:
+    _check_symbol(xi0, x)
+    _check_counts(xi0, c)
+    n, t = c.counts[x], c.total
+    if n < 1:
         raise DomainError(f"the last symbol {x} must occur in the counts, got {c.counts}")
-    total0 = xi0.total
-    return _one_step_gain(
-        xi0.alpha[x], c.counts[x], total0, c.total, digamma(float(total0 + c.total))
+    nums, den = xi0.over_common_denominator
+    num, total = nums[x], sum(nums)
+    # Marginal surprise of x before it was incorporated, written in terms of
+    # the full-trajectory counts; the numerator is strictly positive because
+    # n >= 1 and every prior component is > 0.
+    surprise_term = _surprise(num + (n - 1) * den, total + (t - 1) * den)
+    digamma_post = shifted(digamma, num, den, n)
+    digamma_total = shifted(digamma, total, den, t)
+    return InfoGainReport(
+        value=_gain(surprise_term, digamma_post, digamma_total),
+        surprise_term=surprise_term,
+        expected_hindsight_term=-(digamma_post - digamma_total),
     )
+
+
+# The surprise rows of the last ``belief_tables`` call, keyed (N_x, N_tot, D, t).
+# Row t's surprises -log((N_x + m D) / (N_tot + t D)), m = 0..t, are row
+# t + 1's one-step surprise terms, so an ascending sweep builds one row per
+# distinct component per t.
+_previous_rows: dict[tuple[int, int, int, int], np.ndarray] = {}
+
+
+def _surprise_row(
+    num: int, total: int, den: int, t: int, built: dict[tuple[int, int, int, int], np.ndarray]
+) -> np.ndarray:
+    """-log((num + m den) / (total + t den)) for m = 0..t, kept in ``built``; read only."""
+    key = (num, total, den, t)
+    if key not in built:
+        if key in _previous_rows:
+            built[key] = _previous_rows[key]
+        else:
+            post_total = total + t * den
+            posts = range(num, num + (t + 1) * den, den)
+            built[key] = np.array([_surprise(post, post_total) for post in posts])
+    return built[key]
 
 
 def belief_tables(xi0: Hyperparameter, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,19 +244,26 @@ def belief_tables(xi0: Hyperparameter, t: int) -> tuple[np.ndarray, np.ndarray]:
     Returns two (K, t + 1) arrays.  Entry [x, n], 1 <= n <= t, is
     ``one_step_info_gain_from_count(xi0, c, x).value`` and
     ``marginal_surprise_from_count(xi0, c, x)`` for every length-t count
-    vector c with c_x = n; column 0 is NaN.  Costs K * t + 1 digamma calls.
+    vector c with c_x = n, from the same formulas; column 0 is NaN.  The
+    one-step surprise terms at t are the surprises at t - 1, and the digamma
+    values come from columns grown once per process, so an ascending sweep
+    to T evaluates K * (T + 1) surprises and O(K * T) digammas in all.
     """
+    global _previous_rows
     if t < 1:
         raise DomainError(f"need t >= 1, got {t}")
-    total0 = xi0.total
-    total1 = total0 + t
-    digamma_total = digamma(float(total1))
+    nums, den = xi0.over_common_denominator
+    total = sum(nums)
+    digamma_total = shifted_column(digamma, total, den, t)[t]
     gain = np.full((xi0.size, t + 1), np.nan)
     surprise = np.full((xi0.size, t + 1), np.nan)
-    for x, a in enumerate(xi0.alpha):
-        for n in range(1, t + 1):
-            gain[x, n] = _one_step_gain(a, n, total0, t, digamma_total).value
-            surprise[x, n] = -math.log(float((a + n) / total1))
+    built: dict[tuple[int, int, int, int], np.ndarray] = {}
+    for x, num in enumerate(nums):
+        before = _surprise_row(num, total, den, t - 1, built)  # the surprise terms of n = 1..t
+        surprise[x, 1:] = _surprise_row(num, total, den, t, built)[1:]
+        digammas = np.array(shifted_column(digamma, num, den, t)[1 : t + 1])
+        gain[x, 1:] = _gain(before, digammas, digamma_total)
+    _previous_rows = built
     return gain, surprise
 
 
@@ -222,21 +279,86 @@ def one_step_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> InfoGainRepo
     return one_step_info_gain_from_count(xi0, count(traj, xi0.size), traj[-1])
 
 
-def full_past_info_gain_from_count(xi0: Hyperparameter, c: CountVector) -> float:
-    """Full-past gain from a count vector; count-level core of ``full_past_info_gain``."""
-    alpha0 = xi0.as_floats()
-    total0 = float(xi0.total)
-    post = add_counts(xi0, c)
-    alpha1 = post.as_floats()
-    total1 = float(post.total)
-    log_g = log_gamma(total1) - log_gamma(total0) + math.fsum(
-        log_gamma(a0) - log_gamma(a1) for a0, a1 in zip(alpha0, alpha1)
+def _full_past_gain(
+    counts: Sequence[int],
+    log_gamma_prior: Sequence[float],
+    log_gamma_post: Sequence[float],
+    digamma_post: Sequence[float | None],
+    log_gamma_totals: tuple[float, float],
+    digamma_total: float,
+) -> float:
+    """Full-past gain from the log-gamma and digamma values of prior and posterior.
+
+    Per component x: log Gamma(a_x), log Gamma(a_x + c_x) and psi(a_x + c_x),
+    the last read only where c_x >= 1; for the totals: log Gamma(|xi0|) and
+    log Gamma(|xi0| + t), then psi(|xi0| + t).
+    """
+    log_g = log_gamma_totals[1] - log_gamma_totals[0] + math.fsum(
+        g0 - g1 for g0, g1 in zip(log_gamma_prior, log_gamma_post)
     )
-    digamma_total1 = digamma(total1)
     expected_log_lik = math.fsum(
-        n * (digamma(a1) - digamma_total1) for n, a1 in zip(c.counts, alpha1) if n > 0
+        n * (d - digamma_total) for n, d in zip(counts, digamma_post) if n > 0
     )
     return _clamp_kl(log_g + expected_log_lik)
+
+
+def full_past_info_gain_from_count(xi0: Hyperparameter, c: CountVector) -> float:
+    """Full-past gain from a count vector; count-level core of ``full_past_info_gain``."""
+    _check_counts(xi0, c)
+    nums, den = xi0.over_common_denominator
+    total, t = sum(nums), c.total
+    return _full_past_gain(
+        c.counts,
+        [shifted(log_gamma, num, den, 0) for num in nums],
+        [shifted(log_gamma, num, den, n) for num, n in zip(nums, c.counts)],
+        [shifted(digamma, num, den, n) if n > 0 else None for num, n in zip(nums, c.counts)],
+        (shifted(log_gamma, total, den, 0), shifted(log_gamma, total, den, t)),
+        shifted(digamma, total, den, t),
+    )
+
+
+def trajectory_beliefs(
+    xi0: Hyperparameter, traj: Sequence[int]
+) -> Iterator[tuple[float, float | None, float, float]]:
+    """The belief quantities of every prefix of ``traj``, each carried from the one before.
+
+    Yields, for t = 1..len(traj), the prefix's hindsight marginal surprise,
+    the marginal surprise of symbol t + 1 (None after the last), the one-step
+    gain and the full-past gain: the values of ``marginal_surprise_from_count``,
+    ``one_step_info_gain_from_count(...).value`` and
+    ``full_past_info_gain_from_count`` on the prefix's counts, from the same
+    formulas.  A step evaluates digamma and log-gamma only at the component
+    that moved and at the new total.
+    """
+    traj = validate_trajectory(traj, xi0.size)
+    nums, den = xi0.over_common_denominator
+    total = sum(nums)
+    posts = list(nums)  # D * (a_x + c_x)
+    counts = [0] * xi0.size
+    log_gamma_prior = [log_gamma(num / den) for num in nums]
+    log_gamma_post = list(log_gamma_prior)
+    digamma_post: list[float | None] = [None] * xi0.size
+    log_gamma_total = log_gamma(total / den)
+    for t, x in enumerate(traj, start=1):
+        counts[x] += 1
+        posts[x] += den
+        post_total = total + t * den
+        log_gamma_post[x] = log_gamma(posts[x] / den)
+        digamma_post[x] = digamma(posts[x] / den)
+        digamma_total = digamma(post_total / den)
+        yield (
+            _surprise(posts[x], post_total),
+            _surprise(posts[traj[t]], post_total) if t < len(traj) else None,
+            _gain(_surprise(posts[x] - den, post_total - den), digamma_post[x], digamma_total),
+            _full_past_gain(
+                counts,
+                log_gamma_prior,
+                log_gamma_post,
+                digamma_post,
+                (log_gamma_total, log_gamma(post_total / den)),
+                digamma_total,
+            ),
+        )
 
 
 def full_past_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> float:

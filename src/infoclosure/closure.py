@@ -32,7 +32,9 @@ count entropy, centred so that no weight multiplies a term of size t log t,
 and each result is one exactly rounded ``math.fsum``, independent of the
 summation order.  Only the terms of nonzero weight reach the ``fsum``: it
 ignores exact zeros, so dropping them changes no bit, and most of a long
-row's binomial tail underflows to 0 (all but one entry when K = 1).
+row's binomial tail underflows to 0 (all but one entry when K = 1).  The
+count entropy and the one-step closure build their terms at the nonzero
+weights only, so such rows cost little more than their live entries.
 ``count_entropy``, ``ntic``, ``one_step_ntic``, the conformance closed forms
 and the CLI's exact curve rows are all built on it.
 """
@@ -114,14 +116,15 @@ def last_count_weights(phi: CategoricalParam, t: int) -> np.ndarray:
             f"the last-count table for k={phi.size}, t={t} has {size} entries, "
             f"exceeding the cap of {TABLE_TERM_CAP}; ask for a smaller t"
         )
-    log_fact = log_factorials(t)
-    n = np.arange(1, t + 1)
-    log_binom = log_fact[t - 1] - log_fact[n - 1] - log_fact[t - n]
     weights = np.zeros((phi.size, t + 1))
-    for x, p in enumerate(phi.probs):
-        if p == 1.0:
-            weights[x, t] = 1.0  # log1p(-p) would be -inf
-        elif p > 0.0:
+    if 1.0 in phi.probs:
+        weights[phi.probs.index(1.0), t] = 1.0  # the only symbol; log1p(-p) would be -inf
+    mixed = [(x, p) for x, p in enumerate(phi.probs) if 0.0 < p < 1.0]
+    if mixed:  # log_binom is needed by these rows only
+        log_fact = log_factorials(t)
+        n = np.arange(1, t + 1)
+        log_binom = log_fact[t - 1] - log_fact[n - 1] - log_fact[t - n]
+        for x, p in mixed:
             row = np.exp(log_binom + n * math.log(p) + (t - n) * math.log1p(-p))
             # The row sums to phi_x; rescaling it to that sum cancels the
             # rounding of log (t - 1)!, which every entry shares.
@@ -156,28 +159,34 @@ def count_entropy_from_weights(phi: CategoricalParam, weights: np.ndarray) -> fl
     """
     t = weights.shape[1] - 1
     log_fact = log_factorials(t)
-    n = np.arange(t + 1)
     terms = [-log_fact[t]]
+    centre = np.zeros(phi.size, dtype=np.int64)  # m per symbol
+    slope = np.zeros(phi.size)  # log(m + 1) per symbol
     for x, p in enumerate(phi.probs):
         if p == 0.0:
             continue  # c_x is 0 on every trajectory
         num, den = p.as_integer_ratio()  # t * phi_x = t * num / den exactly
-        m = t * num // den
-        slope = math.log(m + 1)
-        binom = np.empty(t + 1)
-        binom[0] = math.exp(t * math.log1p(-p)) if p < 1.0 else 0.0
-        binom[1:] = t / n[1:] * weights[x, 1:]
-        terms += [log_fact[m], slope * ((t * num - m * den) / den), -t * p * math.log(p)]
-        terms += _nonzero_terms(binom * (log_fact - log_fact[m] - slope * (n - m)), binom)
+        m = centre[x] = t * num // den
+        slope[x] = math.log(m + 1)
+        terms += [log_fact[m], slope[x] * ((t * num - m * den) / den), -t * p * math.log(p)]
+        at_zero = math.exp(t * math.log1p(-p)) if p < 1.0 else 0.0
+        if at_zero != 0.0:
+            terms.append(at_zero * (log_fact[0] - log_fact[m] - slope[x] * (0 - m)))
+    # Every symbol's n >= 1 at once, where the weight, and so the pmf, is nonzero.
+    nonzero = weights != 0.0
+    x, n = nonzero.nonzero()
+    m = centre[x]
+    binom = t / n * weights[nonzero]
+    terms += (binom * (log_fact[n] - log_fact[m] - slope[x] * (n - m))).tolist()
     return math.fsum(terms)
 
 
 def one_step_ntic_from_weights(weights: np.ndarray) -> float:
     """Expected one-step closure from a ``last_count_weights`` table: E[log(c_x / t)]."""
     t = weights.shape[1] - 1
-    log_frequency = np.zeros(t + 1)
-    log_frequency[1:] = np.log(np.arange(1, t + 1) / t)
-    return expectation(weights, log_frequency)
+    nonzero = weights != 0.0
+    n = nonzero.nonzero()[1]  # the counts of the nonzero weights, in ``expectation``'s order
+    return math.fsum((weights[nonzero] * np.log(n / t)).tolist())
 
 
 def count_last_distribution(

@@ -24,6 +24,11 @@ Numeric conventions used throughout the package:
 * concentration vectors store exact rationals so that one-hot updates, batch
   updates, and posterior construction agree to the bit, not merely to a
   tolerance (repeated float ``+1.0`` provably drifts from a single ``+n``).
+  The closed forms read them as integers over one common denominator D
+  (``Hyperparameter.over_common_denominator``): the counter after counts c
+  is (N_x + c_x D) / D, so its ratios are int / int divisions, correctly
+  rounded like the float of the exact rational, with no ``Fraction``
+  arithmetic per state or per row.
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import AlphabetMismatchError, DomainError
-from .special import log_gamma
+from .special import log_gamma, shifted
 
 NEG_INFINITY = float("-inf")
 
@@ -139,6 +145,12 @@ class Hyperparameter:
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(a) for a in self.alpha)
+
+    @cached_property
+    def over_common_denominator(self) -> tuple[tuple[int, ...], int]:
+        """``(N, D)`` with alpha_x = N_x / D exactly; D is the lcm of the denominators."""
+        den = math.lcm(*(a.denominator for a in self.alpha))
+        return tuple(a.numerator * (den // a.denominator) for a in self.alpha), den
 
 
 @dataclass(frozen=True)
@@ -249,12 +261,15 @@ def inverse_count_cardinality(c: CountVector) -> int:
 def log_count_cardinality(c: CountVector) -> float:
     """Natural log of ``inverse_count_cardinality(c)``.
 
-    Uses the exact integer while total <= 64, log-gamma above.
+    Uses the exact integer while total <= 64, log-gamma above; each
+    log_gamma(m + 1) is computed once per process (``special.shifted``).
     """
     total = c.total
     if total <= _EXACT_LOG_TOTAL:
         return math.log(inverse_count_cardinality(c))
-    return log_gamma(total + 1.0) - math.fsum(log_gamma(n + 1.0) for n in c.counts)
+    return shifted(log_gamma, 1, 1, total) - math.fsum(
+        shifted(log_gamma, 1, 1, n) for n in c.counts
+    )
 
 
 def count_log_prob(phi: CategoricalParam, c: CountVector) -> float:

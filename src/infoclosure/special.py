@@ -17,11 +17,17 @@ Accuracy (checked against mpmath at 50 digits in the test suite):
                 and 3e-3 at z = 1e12) while the relative error stays near
                 one rounding.
     digamma   : absolute error <= 1e-10 for z >= 1e-3
+
+The closed forms evaluate them along unit-step lattices z = a + m, m = 0, 1,
+..., such as a counter component as its count grows.  ``shifted_column``
+keeps each such lattice's values once they are computed, so a sweep over t
+evaluates every (function, a + m) once per process.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .errors import DomainError
 
@@ -97,3 +103,41 @@ def digamma(z: float) -> float:
         series += coeff * power
         power *= r2
     return shift + math.log(z) - 0.5 * r - series
+
+
+# f((num + m * den) / den) for m = 0, 1, ..., per (f, num, den); grown by
+# ``shifted_column`` and never rewritten.
+_SHIFTED: dict[tuple[Callable[[float], float], int, int], list[float]] = {}
+
+# A ``shifted`` read grows its column up to twice its length, or to this many
+# entries; a read further out is evaluated on its own.
+_GROWTH_FLOOR = 4096
+
+
+def shifted_column(f: Callable[[float], float], num: int, den: int, n: int) -> list[float]:
+    """``f((num + m * den) / den)`` for m = 0..n, each computed once per process.
+
+    The argument is the rational num / den + m, rounded once by the correctly
+    rounded int / int division, as ``float(Fraction(num, den) + m)`` is, so
+    an entry equals f at that float bit for bit.  The list is shared and may
+    be longer than n + 1: read it, never write to it.
+    """
+    column = _SHIFTED.setdefault((f, num, den), [])
+    if n >= len(column):
+        column.extend([f((num + m * den) / den) for m in range(len(column), n + 1)])
+    return column
+
+
+def shifted(f: Callable[[float], float], num: int, den: int, n: int) -> float:
+    """``f((num + n * den) / den)``: an entry of ``shifted_column``.
+
+    An ascending sweep grows the column as it goes; an n far beyond the
+    column's end is evaluated on its own, so one large argument costs one
+    call rather than a column of them.
+    """
+    column = _SHIFTED.get((f, num, den), ())
+    if n < len(column):
+        return column[n]
+    if n < max(2 * len(column), _GROWTH_FLOOR):
+        return shifted_column(f, num, den, n)[n]
+    return f((num + n * den) / den)

@@ -4,6 +4,10 @@ The expected files under ``golden/`` and the strings below are CLI outputs
 kept byte for byte: trajectory tables, a seeded Monte Carlo curve, an exact
 JSON curve (also read from a config file) and the README witness.  A
 refactor that changes any digit here changes what users read.
+
+The ``*_xi0_nondyadic_*`` files use the counter start 0.37,2.5,1.13, whose
+components have denominators up to 2**53, where the other files' start has
+a common denominator of 4.
 """
 
 import contextlib
@@ -21,6 +25,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # switch of the multinomial coefficient at a total of 64.
 TRAJ = ",".join(str((i * i + i // 3) % 3) for i in range(66))
 TRAJECTORY_ARGS = ("trajectory", "--traj", TRAJ, "--xi0", "0.5,2,1.25")
+NONDYADIC_XI0 = ("--xi0", "0.37,2.5,1.13")
 
 CURVE_MC_CSV = """\
 t,ntic,one_step_ntic,info_gain,surprise,method
@@ -140,6 +145,19 @@ def stdout_of(*args):
 )
 def test_trajectory_bytes(name, extra):
     assert stdout_of(*TRAJECTORY_ARGS, *extra) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_nondyadic_prior_trajectory_bytes():
+    out = stdout_of("trajectory", "--traj", TRAJ, *NONDYADIC_XI0, "--phi", "0.2,0.3,0.5")
+    assert out == (GOLDEN / "trajectory_xi0_nondyadic_nats.csv").read_text(encoding="utf-8")
+
+
+def test_nondyadic_prior_exact_curve_bytes():
+    out = stdout_of(
+        "curve", "--phi", "0.2,0.3,0.5", *NONDYADIC_XI0, "--tmax", "12",
+        "--quantities", "ntic,one_step_ntic,info_gain,surprise",
+    )
+    assert out == (GOLDEN / "curve_xi0_nondyadic_nats.csv").read_text(encoding="utf-8")
 
 
 def test_monte_carlo_curve_bytes(monkeypatch):

@@ -236,7 +236,11 @@ class TestNonzeroTerms:
 
 class TestWorkPerRow:
     def test_no_per_state_objects_and_bounded_digamma(self, monkeypatch):
-        """An exact K=3 row at t = 20 (231 states) builds no counter per state."""
+        """An exact K=3 row at t = 20 (231 states) builds no counter per state.
+
+        Its digamma values fill one column per component and one for the
+        total, t + 1 entries each; the next row adds one entry to each.
+        """
         calls = {"digamma": 0, "add_counts": 0, "Hyperparameter": 0, "CountVector": 0}
 
         def counting(name, fn):
@@ -247,14 +251,16 @@ class TestWorkPerRow:
 
         phi = CategoricalParam((0.2, 0.3, 0.5))
         xi0 = Hyperparameter((0.5, 2, 1.25))
+        # A fresh wrapper keys fresh columns, so no earlier test's values are reused.
         monkeypatch.setattr(bayes, "digamma", counting("digamma", bayes.digamma))
-        for module in (process, bayes):
-            monkeypatch.setattr(module, "add_counts", counting("add_counts", process.add_counts))
+        monkeypatch.setattr(process, "add_counts", counting("add_counts", process.add_counts))
         for cls in (Hyperparameter, CountVector):
             monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
         k, t = 3, 20
         curve_row(phi, xi0, t)
-        assert calls["digamma"] <= k * t + 1
+        assert calls["digamma"] == (k + 1) * (t + 1)
+        curve_row(phi, xi0, t + 1)
+        assert calls["digamma"] == (k + 1) * (t + 2)
         assert calls["add_counts"] == calls["Hyperparameter"] == calls["CountVector"] == 0
 
 
