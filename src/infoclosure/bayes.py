@@ -23,10 +23,10 @@ one observation earlier.  Python's int / int division is correctly rounded,
 as the float of the exact rational is, so the values are the exact-rational
 ones with no ``Fraction`` arithmetic.  The digamma and log-gamma values sit
 on the unit-step lattices a_x + n and |xi0| + t.  The scalar functions and
-``belief_tables`` read them through ``special.shifted``, which computes each
-once per process, so a sweep over t or a loop over Monte Carlo samples only
-evaluates points it has not met before; ``trajectory_beliefs`` carries them
-from one prefix to the next.
+``belief_tables`` read them from the columns ``special`` keeps, so a sweep
+over t, a trajectory's prefixes or a loop over Monte Carlo samples only
+evaluates points it has not met before.  Digamma is read at counts n >= 1
+only, so its columns start at a_x + 1.
 
 The one-step gain and the hindsight marginal surprise of a last symbol x
 depend on a count vector c only through (x, c_x, t).  ``belief_tables``
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -180,6 +180,11 @@ def expected_log_predictive(xi: Hyperparameter, x: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _digamma_after(num: int, den: int, n: int) -> float:
+    """psi(num / den + n) for n >= 1, kept in a column that starts at n = 1."""
+    return shifted(digamma, num + den, den, n - 1)
+
+
 def _gain(surprise_term, digamma_post, digamma_total):
     """One-step gain from its surprise term and the posterior's digamma values.
 
@@ -207,35 +212,13 @@ def one_step_info_gain_from_count(xi0: Hyperparameter, c: CountVector, x: int) -
     # the full-trajectory counts; the numerator is strictly positive because
     # n >= 1 and every prior component is > 0.
     surprise_term = _surprise(num + (n - 1) * den, total + (t - 1) * den)
-    digamma_post = shifted(digamma, num, den, n)
-    digamma_total = shifted(digamma, total, den, t)
+    digamma_post = _digamma_after(num, den, n)
+    digamma_total = _digamma_after(total, den, t)
     return InfoGainReport(
         value=_gain(surprise_term, digamma_post, digamma_total),
         surprise_term=surprise_term,
         expected_hindsight_term=-(digamma_post - digamma_total),
     )
-
-
-# The surprise rows of the last ``belief_tables`` call, keyed (N_x, N_tot, D, t).
-# Row t's surprises -log((N_x + m D) / (N_tot + t D)), m = 0..t, are row
-# t + 1's one-step surprise terms, so an ascending sweep builds one row per
-# distinct component per t.
-_previous_rows: dict[tuple[int, int, int, int], np.ndarray] = {}
-
-
-def _surprise_row(
-    num: int, total: int, den: int, t: int, built: dict[tuple[int, int, int, int], np.ndarray]
-) -> np.ndarray:
-    """-log((num + m den) / (total + t den)) for m = 0..t, kept in ``built``; read only."""
-    key = (num, total, den, t)
-    if key not in built:
-        if key in _previous_rows:
-            built[key] = _previous_rows[key]
-        else:
-            post_total = total + t * den
-            posts = range(num, num + (t + 1) * den, den)
-            built[key] = np.array([_surprise(post, post_total) for post in posts])
-    return built[key]
 
 
 def belief_tables(xi0: Hyperparameter, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,25 +228,28 @@ def belief_tables(xi0: Hyperparameter, t: int) -> tuple[np.ndarray, np.ndarray]:
     ``one_step_info_gain_from_count(xi0, c, x).value`` and
     ``marginal_surprise_from_count(xi0, c, x)`` for every length-t count
     vector c with c_x = n, from the same formulas; column 0 is NaN.  The
-    one-step surprise terms at t are the surprises at t - 1, and the digamma
-    values come from columns grown once per process, so an ascending sweep
-    to T evaluates K * (T + 1) surprises and O(K * T) digammas in all.
+    digamma values of the components come from columns grown once per
+    process and that of the total from at most one call, so a row makes at
+    most K * t + 1 digamma calls and an ascending sweep to T O(K * T) in all.
     """
-    global _previous_rows
     if t < 1:
         raise DomainError(f"need t >= 1, got {t}")
     nums, den = xi0.over_common_denominator
     total = sum(nums)
-    digamma_total = shifted_column(digamma, total, den, t)[t]
+    post_total = total + t * den
+    digamma_total = _digamma_after(total, den, t)
     gain = np.full((xi0.size, t + 1), np.nan)
     surprise = np.full((xi0.size, t + 1), np.nan)
-    built: dict[tuple[int, int, int, int], np.ndarray] = {}
     for x, num in enumerate(nums):
-        before = _surprise_row(num, total, den, t - 1, built)  # the surprise terms of n = 1..t
-        surprise[x, 1:] = _surprise_row(num, total, den, t, built)[1:]
-        digammas = np.array(shifted_column(digamma, num, den, t)[1 : t + 1])
+        # The surprise terms of n = 1..t: the surprises of n - 1 at t - 1.
+        before = np.array([
+            _surprise(post, post_total - den) for post in range(num, num + t * den, den)
+        ])
+        surprise[x, 1:] = [
+            _surprise(post, post_total) for post in range(num + den, num + (t + 1) * den, den)
+        ]
+        digammas = np.array(shifted_column(digamma, num + den, den, t - 1)[:t])
         gain[x, 1:] = _gain(before, digammas, digamma_total)
-    _previous_rows = built
     return gain, surprise
 
 
@@ -279,86 +265,26 @@ def one_step_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> InfoGainRepo
     return one_step_info_gain_from_count(xi0, count(traj, xi0.size), traj[-1])
 
 
-def _full_past_gain(
-    counts: Sequence[int],
-    log_gamma_prior: Sequence[float],
-    log_gamma_post: Sequence[float],
-    digamma_post: Sequence[float | None],
-    log_gamma_totals: tuple[float, float],
-    digamma_total: float,
-) -> float:
-    """Full-past gain from the log-gamma and digamma values of prior and posterior.
-
-    Per component x: log Gamma(a_x), log Gamma(a_x + c_x) and psi(a_x + c_x),
-    the last read only where c_x >= 1; for the totals: log Gamma(|xi0|) and
-    log Gamma(|xi0| + t), then psi(|xi0| + t).
-    """
-    log_g = log_gamma_totals[1] - log_gamma_totals[0] + math.fsum(
-        g0 - g1 for g0, g1 in zip(log_gamma_prior, log_gamma_post)
-    )
-    expected_log_lik = math.fsum(
-        n * (d - digamma_total) for n, d in zip(counts, digamma_post) if n > 0
-    )
-    return _clamp_kl(log_g + expected_log_lik)
-
-
 def full_past_info_gain_from_count(xi0: Hyperparameter, c: CountVector) -> float:
     """Full-past gain from a count vector; count-level core of ``full_past_info_gain``."""
     _check_counts(xi0, c)
     nums, den = xi0.over_common_denominator
     total, t = sum(nums), c.total
-    return _full_past_gain(
-        c.counts,
-        [shifted(log_gamma, num, den, 0) for num in nums],
-        [shifted(log_gamma, num, den, n) for num, n in zip(nums, c.counts)],
-        [shifted(digamma, num, den, n) if n > 0 else None for num, n in zip(nums, c.counts)],
-        (shifted(log_gamma, total, den, 0), shifted(log_gamma, total, den, t)),
-        shifted(digamma, total, den, t),
+    # Each column is read at m = 0 before m = n, so a sweep appends to it.
+    log_gamma_prior = shifted(log_gamma, total, den, 0)
+    log_g = shifted(log_gamma, total, den, t) - log_gamma_prior + math.fsum(
+        shifted(log_gamma, num, den, 0) - shifted(log_gamma, num, den, n)
+        for num, n in zip(nums, c.counts)
     )
-
-
-def trajectory_beliefs(
-    xi0: Hyperparameter, traj: Sequence[int]
-) -> Iterator[tuple[float, float | None, float, float]]:
-    """The belief quantities of every prefix of ``traj``, each carried from the one before.
-
-    Yields, for t = 1..len(traj), the prefix's hindsight marginal surprise,
-    the marginal surprise of symbol t + 1 (None after the last), the one-step
-    gain and the full-past gain: the values of ``marginal_surprise_from_count``,
-    ``one_step_info_gain_from_count(...).value`` and
-    ``full_past_info_gain_from_count`` on the prefix's counts, from the same
-    formulas.  A step evaluates digamma and log-gamma only at the component
-    that moved and at the new total.
-    """
-    traj = validate_trajectory(traj, xi0.size)
-    nums, den = xi0.over_common_denominator
-    total = sum(nums)
-    posts = list(nums)  # D * (a_x + c_x)
-    counts = [0] * xi0.size
-    log_gamma_prior = [log_gamma(num / den) for num in nums]
-    log_gamma_post = list(log_gamma_prior)
-    digamma_post: list[float | None] = [None] * xi0.size
-    log_gamma_total = log_gamma(total / den)
-    for t, x in enumerate(traj, start=1):
-        counts[x] += 1
-        posts[x] += den
-        post_total = total + t * den
-        log_gamma_post[x] = log_gamma(posts[x] / den)
-        digamma_post[x] = digamma(posts[x] / den)
-        digamma_total = digamma(post_total / den)
-        yield (
-            _surprise(posts[x], post_total),
-            _surprise(posts[traj[t]], post_total) if t < len(traj) else None,
-            _gain(_surprise(posts[x] - den, post_total - den), digamma_post[x], digamma_total),
-            _full_past_gain(
-                counts,
-                log_gamma_prior,
-                log_gamma_post,
-                digamma_post,
-                (log_gamma_total, log_gamma(post_total / den)),
-                digamma_total,
-            ),
+    expected_log_lik = 0.0
+    if t > 0:
+        digamma_total = _digamma_after(total, den, t)
+        expected_log_lik = math.fsum(
+            n * (_digamma_after(num, den, n) - digamma_total)
+            for num, n in zip(nums, c.counts)
+            if n > 0
         )
+    return _clamp_kl(log_g + expected_log_lik)
 
 
 def full_past_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> float:

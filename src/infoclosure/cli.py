@@ -43,10 +43,10 @@ import numpy as np
 
 from .bayes import (
     belief_tables,
+    full_past_info_gain_from_count,
     marginal_surprise_from_count,
     ntic_ig_divergence_witness,
     one_step_info_gain_from_count,
-    trajectory_beliefs,
 )
 from .closure import (
     count_entropy_from_weights,
@@ -399,25 +399,23 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 
     rows = []
     counts = [0] * k
-    beliefs = trajectory_beliefs(xi0, traj)
-    for upto, (last, (hindsight, next_surprise, gain, full_past)) in enumerate(
-        zip(traj, beliefs), start=1
-    ):
+    for upto, last in enumerate(traj, start=1):
         counts[last] += 1
+        c = CountVector(tuple(counts))
         one_step = math.log(counts[last] / upto)
         rows.append({
             "t": upto,
             "pointwise_ntic": (
-                pointwise_ntic_from_count(phi, CountVector(tuple(counts)), last)
-                if phi is not None
-                else None
+                pointwise_ntic_from_count(phi, c, last) if phi is not None else None
             ),
             "one_step_pointwise_ntic": one_step,
             "hindsight_empirical_surprise": -one_step,
-            "marginal_surprise_next": next_surprise,
-            "hindsight_marginal_surprise": hindsight,
-            "one_step_info_gain": gain,
-            "full_past_info_gain": full_past,
+            "marginal_surprise_next": (
+                marginal_surprise_from_count(xi0, c, traj[upto]) if upto < len(traj) else None
+            ),
+            "hindsight_marginal_surprise": marginal_surprise_from_count(xi0, c, last),
+            "one_step_info_gain": one_step_info_gain_from_count(xi0, c, last).value,
+            "full_past_info_gain": full_past_info_gain_from_count(xi0, c),
         })
     columns = ["t", *TRAJECTORY_COLUMNS]
     _emit(_render("trajectory", args, columns, rows), args.out)

@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import AlphabetMismatchError, DomainError
-from .special import log_gamma, shifted
+from .special import log_gamma, shifted_column
 
 NEG_INFINITY = float("-inf")
 
@@ -261,15 +261,15 @@ def inverse_count_cardinality(c: CountVector) -> int:
 def log_count_cardinality(c: CountVector) -> float:
     """Natural log of ``inverse_count_cardinality(c)``.
 
-    Uses the exact integer while total <= 64, log-gamma above; each
-    log_gamma(m + 1) is computed once per process (``special.shifted``).
+    Uses the exact integer while total <= 64, log-gamma above; the values
+    log_gamma(m + 1), m = 0..total, are computed once per process
+    (``special.shifted_column``).
     """
     total = c.total
     if total <= _EXACT_LOG_TOTAL:
         return math.log(inverse_count_cardinality(c))
-    return shifted(log_gamma, 1, 1, total) - math.fsum(
-        shifted(log_gamma, 1, 1, n) for n in c.counts
-    )
+    log_fact = shifted_column(log_gamma, 1, 1, total)
+    return log_fact[total] - math.fsum(log_fact[n] for n in c.counts)
 
 
 def count_log_prob(phi: CategoricalParam, c: CountVector) -> float:

@@ -106,12 +106,8 @@ def digamma(z: float) -> float:
 
 
 # f((num + m * den) / den) for m = 0, 1, ..., per (f, num, den); grown by
-# ``shifted_column`` and never rewritten.
+# ``shifted_column`` and ``shifted`` and never rewritten.
 _SHIFTED: dict[tuple[Callable[[float], float], int, int], list[float]] = {}
-
-# A ``shifted`` read grows its column up to twice its length, or to this many
-# entries; a read further out is evaluated on its own.
-_GROWTH_FLOOR = 4096
 
 
 def shifted_column(f: Callable[[float], float], num: int, den: int, n: int) -> list[float]:
@@ -129,15 +125,17 @@ def shifted_column(f: Callable[[float], float], num: int, den: int, n: int) -> l
 
 
 def shifted(f: Callable[[float], float], num: int, den: int, n: int) -> float:
-    """``f((num + n * den) / den)``: an entry of ``shifted_column``.
+    """``f((num + n * den) / den)``, kept in its ``shifted_column`` when that is cheap.
 
-    An ascending sweep grows the column as it goes; an n far beyond the
-    column's end is evaluated on its own, so one large argument costs one
-    call rather than a column of them.
+    A read at most twice the column's length grows the column to n, so an
+    ascending sweep evaluates each entry once and growing costs at most one
+    evaluation more than the column already holds.  A read further out, such
+    as a first read past m = 0, is evaluated on its own and not kept: a
+    single call costs one evaluation, not a column of them.
     """
     column = _SHIFTED.get((f, num, den), ())
     if n < len(column):
         return column[n]
-    if n < max(2 * len(column), _GROWTH_FLOOR):
+    if n <= 2 * len(column):
         return shifted_column(f, num, den, n)[n]
     return f((num + n * den) / den)

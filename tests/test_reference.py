@@ -1,7 +1,7 @@
 """The integer belief formulas against the exact-rational expressions they replace.
 
 The belief layer reads the prior as integers over one common denominator
-and keeps every digamma and log-gamma value it has computed.  The
+and keeps the digamma and log-gamma values an ascending sweep computes.  The
 references below are the ``Fraction`` expressions it used before, with a
 fresh special-function call per value.  Python rounds int / int division
 and ``float(Fraction)`` alike, so every value must agree to the bit, which
@@ -11,8 +11,9 @@ total of 64 where the multinomial coefficient switches from the exact
 integer to log-gamma.
 
 The call counts pin the work: an ascending sweep of belief tables evaluates
-each digamma once, and a trajectory row evaluates a fixed number of special
-functions.
+each digamma once, a trajectory row evaluates a fixed number of special
+functions, and a single call on a fresh prior evaluates no more points than
+its formula reads.
 """
 
 import contextlib
@@ -222,8 +223,8 @@ class TestAgainstTheRationalReference:
             assert hexed(surprise[x, 1:].tolist()) == hexed(s)
 
     def test_belief_tables_in_an_ascending_sweep(self):
-        # Each row after the first reads its one-step surprise terms from the
-        # row before; equal components share those rows.
+        # Each row reads the digamma columns the rows before it grew; equal
+        # components share a column.
         xi0 = Hyperparameter((0.37, 0.37, Fraction(1, 3)))
         for t in range(1, 80):
             gain, surprise = bayes.belief_tables(xi0, t)
@@ -291,8 +292,8 @@ class TestSpecialFunctionCalls:
         k, t_max = 3, 300
         for t in range(1, t_max + 1):
             bayes.belief_tables(xi0, t)
-        # psi(a_x + n) and psi(|xi0| + n) for n = 0..t_max: O(K * T), not O(K * T^2).
-        assert calls["digamma"] == (k + 1) * (t_max + 1)
+        # psi(a_x + n) and psi(|xi0| + n) for n = 1..t_max: O(K * T), not O(K * T^2).
+        assert calls["digamma"] == (k + 1) * t_max
 
     def test_a_trajectory_row_makes_a_fixed_number_of_calls(self, monkeypatch):
         calls = {"digamma": 0, "log_gamma": 0, "log_gamma_counts": 0}
@@ -315,3 +316,20 @@ class TestSpecialFunctionCalls:
         # the first row whose multinomial is logged through log-gamma, then
         # one per row.
         assert calls["log_gamma_counts"] == length + 1
+
+    def test_a_single_call_on_a_fresh_prior_evaluates_only_its_own_points(self, monkeypatch):
+        calls = {"digamma": 0, "log_gamma": 0}
+        monkeypatch.setattr(bayes, "digamma", counting(calls, "digamma", bayes.digamma))
+        monkeypatch.setattr(bayes, "log_gamma", counting(calls, "log_gamma", bayes.log_gamma))
+        xi0 = Hyperparameter((0.37, 2.5, 1.13))
+        c = CountVector((4000, 5, 0))
+        one_step_info_gain_from_count(xi0, c, 0)
+        # psi at the last symbol's component and at the total; no column is
+        # filled up to a count of 4000.
+        assert calls == {"digamma": 2, "log_gamma": 0}
+        full_past_info_gain_from_count(xi0, c)
+        # At most the parent formula's own points: psi at the two nonzero
+        # counts and the total, log-gamma at the K components and the total
+        # before and after.
+        assert calls["digamma"] == 2 + 3
+        assert calls["log_gamma"] <= 2 * (3 + 1)
