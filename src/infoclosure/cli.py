@@ -452,7 +452,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_conformance(args: argparse.Namespace) -> int:
-    result = run_conformance(max_k=args.max_k, max_t=args.max_t, jobs=args.jobs)
+    result = run_conformance(max_k=args.max_k, max_t=args.max_t)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     by_quantity: dict[str, list] = {}
@@ -531,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     conformance = sub.add_parser("conformance", help="oracle-vs-closed-form grid")
     conformance.add_argument("--max-k", type=_integer, default=3)
     conformance.add_argument("--max-t", type=_integer, default=6)
-    conformance.add_argument("--jobs", type=_integer, default=1)
     conformance.add_argument("--out")
 
     return parser

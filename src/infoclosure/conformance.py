@@ -6,15 +6,12 @@ parameters, counter starts, and times, plus the Beta-Beta quadrature check of
 the full-past information gain.  Emits one record per comparison; the CLI and
 the acceptance suite both drive this runner.
 
-Grid points are independent pure computations, so the runner can fan them out
-over a process pool; records are collected in canonical grid order regardless
-of completion order, keeping reports byte-stable.
+The grid runs in one process, one point after another in canonical order
+(alphabet size, then data parameter, then time), so a report is byte-stable.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bayes import full_past_info_gain
@@ -124,9 +121,10 @@ def _record(quantity: str, context: dict, closed: float, orac: float, tol: float
     )
 
 
-def _ntic_point(args) -> tuple[list[ConformanceRecord], list[str]]:
+def _ntic_point(
+    k: int, phi_probs: tuple[float, ...], t: int
+) -> tuple[list[ConformanceRecord], list[str]]:
     """All comparisons for one (k, phi, t) grid point across the xi0 grid."""
-    k, phi_probs, t, tolerance = args
     phi = CategoricalParam(phi_probs)
     records: list[ConformanceRecord] = []
 
@@ -147,8 +145,8 @@ def _ntic_point(args) -> tuple[list[ConformanceRecord], list[str]]:
     oracle_one = oracle_mutual_information(joint, "one_step") - te
     for xi0_values in starts:
         context = {"k": k, "phi": list(phi_probs), "t": t, "xi0": list(xi0_values)}
-        records.append(_record("ntic_full_past", context, closed_full, oracle_full, tolerance))
-        records.append(_record("ntic_one_step", context, closed_one, oracle_one, tolerance))
+        records.append(_record("ntic_full_past", context, closed_full, oracle_full, CLOSURE_TOLERANCE))
+        records.append(_record("ntic_one_step", context, closed_one, oracle_one, CLOSURE_TOLERANCE))
 
     # One oracle value serves every start, so the spread over the start grid is
     # 0 by construction; the records keep the report's shape.
@@ -175,41 +173,27 @@ def _info_gain_records() -> list[ConformanceRecord]:
     return records
 
 
-def run_conformance(
-    max_k: int = 3,
-    max_t: int = 8,
-    jobs: int = 1,
-) -> ConformanceResult:
+def run_conformance(max_k: int = 3, max_t: int = 6) -> ConformanceResult:
     """Run the full grid and return all comparison records in canonical order.
 
+    The defaults are those of the ``conformance`` command.
     ``CLOSURE_TOLERANCE`` bounds the closure comparisons; the quadrature
-    records use 1e-7.  A joint over ``oracle.DEFAULT_JOINT_CAP`` trajectories is skipped
-    with a warning.  ``jobs`` is clamped to the CPU count and to the number
-    of grid points.
+    records use 1e-7.  A joint over ``oracle.DEFAULT_JOINT_CAP`` trajectories
+    is skipped with a warning.
     """
     if max_k < 2 or max_k > 3:
         raise DomainError("conformance grids are defined for alphabet sizes 2 and 3")
     if max_t < 1:
         raise DomainError(f"need max_t >= 1, got {max_t}")
 
-    points = [
-        (k, phi_probs, t, CLOSURE_TOLERANCE)
-        for k in range(2, max_k + 1)
-        for phi_probs in PHI_GRIDS[k]
-        for t in range(1, max_t + 1)
-    ]
-
     records: list[ConformanceRecord] = []
     warns: list[str] = []
-    jobs = min(jobs, os.cpu_count() or 1, len(points))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_ntic_point, points))
-    else:
-        outcomes = [_ntic_point(p) for p in points]
-    for point_records, point_warns in outcomes:
-        records.extend(point_records)
-        warns.extend(point_warns)
+    for k in range(2, max_k + 1):
+        for phi_probs in PHI_GRIDS[k]:
+            for t in range(1, max_t + 1):
+                point_records, point_warns = _ntic_point(k, phi_probs, t)
+                records.extend(point_records)
+                warns.extend(point_warns)
 
     records.extend(_info_gain_records())
     return ConformanceResult(records=records, warnings=warns)

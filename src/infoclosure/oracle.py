@@ -75,6 +75,10 @@ _TS_MAX_LEVEL = 12
 #: The quadrature's nodes stop where the Beta density has fallen by e**-_TS_TAIL.
 _TS_TAIL = 60.0
 
+#: Ulps of each ``math.lgamma`` term the quadrature's mass check allows for
+#: the rounding of the density's normaliser.
+_TS_LGAMMA_ULPS = 4
+
 #: Largest mixed-radix group code; a longer key is re-ranked before it overflows int64.
 _CODE_LIMIT = 2**62
 
@@ -418,21 +422,24 @@ def beta_log_moment_quadrature(
     rule's own integral of it, so the normaliser's rounding cancels.  The
     error estimate at a level is the larger of the change since the previous
     level and the distance of that integral from 1, which also flags a peak
-    that every node has missed.  Raises ``QuadratureError`` when the estimate
-    still exceeds ``abs_tol`` at step 2^-``_TS_MAX_LEVEL``.
+    that every node has missed.  That distance carries the normaliser's
+    rounding, so it is taken less ``_TS_LGAMMA_ULPS`` ulps of each of
+    lgamma(a), lgamma(b) and lgamma(a + b).  Raises ``QuadratureError`` when
+    the estimate still exceeds ``abs_tol`` at step 2^-``_TS_MAX_LEVEL``.
 
-    Range, measured for k = (0, 1, 0) and (0, 0, 1) on geometric grids of
-    (a, b) against mpmath at 50 digits:
-        abs_tol = 1e-10 : converges for 1e-6 <= a, b <= 3e4.  The absolute
-                          error is <= 1e-14 for a, b >= 0.05, <= 4e-12 for
+    Range, measured for k = (0, 1, 0) and (0, 0, 1) on the grid
+    a, b in {1, 3} * 10^n, n = -6..7, against mpmath at 50 digits:
+        abs_tol = 1e-10 : converges for 1e-6 <= a, b <= 1e6.  The absolute
+                          error is <= 1e-14 for 0.05 <= a, b <= 1e5,
+                          <= 3e-14 for 0.05 <= a, b <= 1e6, <= 4e-12 for
                           a, b >= 1e-4 and <= 3e-10 for a, b >= 1e-6, where
                           the log moments grow like 1 / min(a, b).
-        abs_tol = 1e-8  : converges for 0.05 <= a, b <= 1e6, absolute error
-                          <= 5e-13 up to 3e4 and <= 4e-12 up to 1e6.
-    Beyond that the rule refuses.  At 1e-10 the rounding of the ``lgamma``
-    normaliser alone reaches the tolerance near 1e5 ((1e5, 1e5) leaves an
-    estimate of 6.3e-10), and by 1e7 the finest step no longer resolves the
-    peak ((1e7, 1e7) leaves 2.4e-3).
+        abs_tol = 1e-8  : converges for 1e-6 <= a, b <= 1e6, absolute error
+                          <= 2e-12 for a, b >= 0.05, <= 2e-11 for
+                          a, b >= 1e-4 and <= 1e-9 for a, b >= 1e-6.
+    Above 1e6 the finest step stops resolving the peak, and the rule
+    refuses some pairs: (3e6, 3e6) leaves an estimate of 6.9e-9 at 1e-10, and
+    (1e7, 1e7) leaves 2.4e-3.
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"Beta exponents must be positive, got ({a!r}, {b!r})")
@@ -440,6 +447,9 @@ def beta_log_moment_quadrature(
     # log(pi / B(a, b)): the density's normaliser and the constant of dx/du.
     log_scale = math.log(math.pi) - _log_beta(a, b)
     u_max = math.asinh(_TS_TAIL / (math.pi * min(a, b, 1.0)))
+    # The rule's integral of the density carries the rounding of the lgamma
+    # normaliser, which the self-normalised value does not.
+    mass_slack = _TS_LGAMMA_ULPS * math.fsum(math.ulp(math.lgamma(z)) for z in (a, b, a + b))
 
     def node_sums(j: np.ndarray, step: float) -> np.ndarray:
         """Sums of w, w ln x and w ln(1-x) over the nodes u = j * step."""
@@ -466,7 +476,7 @@ def beta_log_moment_quadrature(
         j = np.arange(-last, last + 1)
         sums += node_sums(j[j % 2 != 0], step)
         previous, value = value, moment(sums)
-        estimate = max(abs(value - previous), abs(step * float(sums[0]) - 1.0))
+        estimate = max(abs(value - previous), abs(step * float(sums[0]) - 1.0) - mass_slack)
         if estimate <= abs_tol:
             return value
     raise QuadratureError(

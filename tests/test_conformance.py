@@ -1,7 +1,12 @@
 """Checks for the conformance runner and the report surfaces."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
+import infoclosure.cli as cli
 import infoclosure.conformance as conformance
 import infoclosure.oracle as oracle
 from infoclosure import (
@@ -47,13 +52,6 @@ class TestRunner:
         result = run_conformance(max_k=2, max_t=2)
         assert not result.all_passed
 
-    def test_parallel_matches_serial(self):
-        serial = run_conformance(max_k=2, max_t=3)
-        parallel = run_conformance(max_k=2, max_t=3, jobs=2)
-        assert [r.to_json_dict() for r in serial.records] == [
-            r.to_json_dict() for r in parallel.records
-        ]
-
     def test_grid_bounds(self):
         with pytest.raises(DomainError):
             run_conformance(max_k=4)
@@ -62,30 +60,12 @@ class TestRunner:
         with pytest.raises(DomainError):
             run_conformance(max_t=0)
 
-    @pytest.mark.parametrize("cpus, max_t, expected", [(4, 2, 4), (64, 1, 5)])
-    def test_jobs_clamped_to_cpus_and_grid_points(self, monkeypatch, cpus, max_t, expected):
-        # The k=2 grid has 5 data parameters, so max_t=1 gives 5 points and
-        # max_t=2 gives 10.  The fake pool runs serially and spawns nothing.
-        seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(conformance, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(conformance.os, "cpu_count", lambda: cpus)
-        result = run_conformance(max_k=2, max_t=max_t, jobs=10**6)
-        assert seen == [expected]
-        assert result.all_passed
+    def test_default_grid_is_the_commands(self, tmp_path):
+        report = tmp_path / "report.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["conformance", "--out", str(report)]) == 0
+        records = json.loads(report.read_text())["records"]
+        assert records == [r.to_json_dict() for r in run_conformance().records]
 
     def test_one_kernel_pass_per_grid_point(self, monkeypatch):
         tables = []

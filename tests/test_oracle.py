@@ -13,6 +13,7 @@ import math
 import mpmath
 import pytest
 
+import infoclosure.oracle as oracle
 from infoclosure import (
     CategoricalParam,
     CountVector,
@@ -251,6 +252,15 @@ class TestQuadrature:
         with pytest.raises(QuadratureError, match="error estimate"):
             beta_log_moment_quadrature(a, b, (0.0, 1.0, 0.0), abs_tol=1e-10)
 
+    def test_a_normaliser_off_by_more_than_its_rounding_is_refused(self, monkeypatch):
+        # A shift of log B(a, b) leaves the self-normalised value unchanged;
+        # only the mass shows it, once past the allowance for the lgamma
+        # rounding (3.7e-9 here).  Unshifted, (1e5, 1e5) resolves (LARGE).
+        log_beta = oracle._log_beta
+        monkeypatch.setattr(oracle, "_log_beta", lambda a, b: log_beta(a, b) + 1e-8)
+        with pytest.raises(QuadratureError, match="error estimate"):
+            beta_log_moment_quadrature(1e5, 1e5, (0.0, 1.0, 0.0), abs_tol=1e-10)
+
 
 def mpmath_log_moments(a, b, kappa):
     """k0 + k1 E[ln x] + k2 E[ln(1-x)] under Beta(a, b), at 50 digits."""
@@ -275,7 +285,7 @@ def kl_grid():
 
 
 SUB_UNIT = [(0.5, 0.5), (0.05, 0.05), (0.05, 0.5), (0.5, 3.0), (20.0, 0.05)]
-LARGE = [(1e3, 1e3), (1e3, 1e4), (1e4, 1e4), (1e4, 2.5), (0.5, 5e3)]
+LARGE = [(1e3, 1e3), (1e3, 1e4), (1e4, 1e4), (1e4, 2.5), (0.5, 5e3), (1e5, 1e5), (1e6, 1e6)]
 
 
 class TestQuadratureAccuracy:
