@@ -6,8 +6,10 @@ parameters, counter starts, and times, plus the Beta-Beta quadrature check of
 the full-past information gain.  Emits one record per comparison; the CLI and
 the acceptance suite both drive this runner.
 
-The grid runs in one process, one point after another in canonical order
-(alphabet size, then data parameter, then time), so a report is byte-stable.
+The grid runs in one process.  Within an alphabet size it visits time
+outermost, so the five data parameters of one (K, t) share the oracle's row
+layout, and it reports in canonical order (alphabet size, then data
+parameter, then time), so a report is byte-stable.
 """
 
 from __future__ import annotations
@@ -189,9 +191,16 @@ def run_conformance(max_k: int = 3, max_t: int = 6) -> ConformanceResult:
     records: list[ConformanceRecord] = []
     warns: list[str] = []
     for k in range(2, max_k + 1):
+        # Time outermost, so the data parameters of one (k, t) share the
+        # oracle's row layout; the report keeps the canonical order.
+        points = {
+            (phi_probs, t): _ntic_point(k, phi_probs, t)
+            for t in range(1, max_t + 1)
+            for phi_probs in PHI_GRIDS[k]
+        }
         for phi_probs in PHI_GRIDS[k]:
             for t in range(1, max_t + 1):
-                point_records, point_warns = _ntic_point(k, phi_probs, t)
+                point_records, point_warns = points[phi_probs, t]
                 records.extend(point_records)
                 warns.extend(point_warns)
 

@@ -32,7 +32,11 @@ each reduced with one ``math.fsum`` as well.
 ``JointTable.marginals`` keys the same groups by the realised counter states
 xi0 + counts, exact rationals built once per group.  Only these labels read
 the start; the groups and the definitional sums do not, so one table per
-(phi, t) serves every start.
+(phi, t) serves every start.  Nor do the rows and their groups read phi:
+they depend on the alphabet size K, the support of phi and t alone.  The
+enumeration and the seven sorts form a layout, kept for the last
+(K, support, t) asked for, and a table sums its own probabilities over the
+layout's groups, so one layout per (K, support, t) serves every phi.
 
 The quadrature is numpy alone: a tanh-sinh rule whose Beta densities are
 normalised with the standard library's ``math.lgamma`` rather than this
@@ -42,9 +46,11 @@ closed-form-vs-oracle comparison free of shared code.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,22 +103,44 @@ _MARGINAL_KEYS = {
 Mode = Literal["full_past", "one_step"]
 
 
+class _Partition(NamedTuple):
+    """The rows of a layout grouped by one marginal's key."""
+
+    order: np.ndarray  # (rows,) rows sorted by key, so each group is contiguous
+    bounds: tuple[int, ...]  # (groups + 1,) start of each group in order, then rows
+    inverse: np.ndarray  # (rows,) group of each row
+    rep: np.ndarray  # (groups,) one row of each group
+
+
 class _Grouping(NamedTuple):
-    """The rows of a joint table grouped by one marginal's key."""
+    """One marginal of a joint table: its layout's groups and their probabilities."""
 
     inverse: np.ndarray  # (rows,) group of each row
     rep: np.ndarray  # (groups,) one row of each group
     probs: np.ndarray  # (groups,) probability of each group
 
 
-def _group(probs: np.ndarray, columns: Sequence[tuple[np.ndarray, int]]) -> _Grouping:
-    """Group rows by a key of integer columns; each group's probability is one ``math.fsum``.
+class _Layout(NamedTuple):
+    """The rows of every joint of one (K, support, t) and their marginal partitions."""
+
+    trajectories: np.ndarray  # (n, t) int8
+    counts: np.ndarray  # (n, k) int16
+    partitions: Mapping[str, _Partition]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _partition(columns: Sequence[tuple[np.ndarray, int]]) -> _Partition:
+    """Group rows by a key of integer columns.
 
     Column j takes values in 0..radix_j - 1.  The key's mixed-radix code is
     re-ranked densely whenever the next digit could overflow, and one sort of
     the codes numbers the groups in ascending key order.
     """
-    code = np.zeros(len(probs), dtype=np.int64)
+    code = np.zeros(len(columns[0][0]), dtype=np.int64)
     size = 1
     for column, radix in columns:
         if size * radix > _CODE_LIMIT:
@@ -120,16 +148,61 @@ def _group(probs: np.ndarray, columns: Sequence[tuple[np.ndarray, int]]) -> _Gro
             size = int(code.max()) + 1
         code = code * radix + column
         size *= radix
-    order = np.argsort(code)
+    # int32 indices: a layout holds at most DEFAULT_JOINT_CAP rows.
+    order = np.argsort(code).astype(np.int32)
     code = code[order]
     new_group = np.concatenate(([True], code[1:] != code[:-1]))
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(new_group) - 1
     starts = np.flatnonzero(new_group)
-    members = probs[order].tolist()
-    bounds = [*starts.tolist(), len(members)]
-    sums = [math.fsum(members[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return _Grouping(inverse, order[starts], np.array(sums))
+    bounds = (*starts.tolist(), len(order))
+    return _Partition(_frozen(order), bounds, _frozen(inverse), _frozen(order[starts]))
+
+
+def _last(trajectories: np.ndarray) -> np.ndarray:
+    return trajectories[:, -1].astype(np.int64)
+
+
+def _prev_counts(trajectories: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    prev = counts.astype(np.int64)
+    prev[np.arange(len(prev)), _last(trajectories)] -= 1
+    return prev
+
+
+@functools.lru_cache(maxsize=1)
+def _layout(k: int, support: tuple[int, ...], t: int) -> _Layout:
+    """Every trajectory of length t over ``support``, its counts and the marginal partitions.
+
+    Rows are in lexicographic order of the trajectories.  Memoised for the
+    last (k, support, t) asked for; the layout is read-only, since every
+    table built from it shares it.
+    """
+    m = len(support)
+    n = m**t
+    idx = np.arange(n, dtype=np.int64)
+    trajs = np.empty((n, t), dtype=np.int8)
+    divisor = n
+    for j in range(t):
+        divisor //= m
+        trajs[:, j] = (idx // divisor) % m
+    support_map = np.asarray(support, dtype=np.int8)
+    trajs = support_map[trajs]
+
+    counts = np.empty((n, k), dtype=np.int16)
+    for x in range(k):
+        counts[:, x] = (trajs == x).sum(axis=1)
+
+    radix = t + 1
+    fields = {
+        "state": [(column, radix) for column in counts.T],
+        "prev": [(column, radix) for column in _prev_counts(trajs, counts).T],
+        "last": [(_last(trajs), k)],
+    }
+    partitions = {
+        name: _partition([column for f in key for column in fields[f]])
+        for name, key in _MARGINAL_KEYS.items()
+    }
+    return _Layout(_frozen(trajs), _frozen(counts), types.MappingProxyType(partitions))
 
 
 def _at(grouping: _Grouping, rows: np.ndarray) -> np.ndarray:
@@ -150,18 +223,28 @@ class JointTable:
 
     Rows enumerate every nonzero-probability trajectory of length t; both
     counter states are uniquely determined per row, so only the trajectory is
-    stored.  The row groupings of the marginals do not depend on the start.
+    stored.  The rows, their counts and their groupings come from a layout
+    that tables of the same (K, support, t) share, so ``trajectories`` and
+    ``counts`` are read-only; only ``probs`` is the table's own.  The row
+    groupings of the marginals do not depend on phi or on the start.
     """
 
     k: int
     t: int
     phi: CategoricalParam
     xi0: Hyperparameter
-    trajectories: np.ndarray  # (n, t) int8
     probs: np.ndarray  # (n,) float
-    counts: np.ndarray  # (n, k) int16
+    _layout: _Layout = field(repr=False)
     _groups: dict = field(default_factory=dict, repr=False)
     _marginals: dict | None = field(default=None, repr=False)
+
+    @property
+    def trajectories(self) -> np.ndarray:
+        return self._layout.trajectories
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._layout.counts
 
     def __len__(self) -> int:
         return self.trajectories.shape[0]
@@ -179,26 +262,16 @@ class JointTable:
         return p
 
     # -- marginal groupings ------------------------------------------------
-    def _last(self) -> np.ndarray:
-        return self.trajectories[:, -1].astype(np.int64)
-
-    def _prev_counts(self) -> np.ndarray:
-        prev = self.counts.astype(np.int64)
-        prev[np.arange(len(self)), self._last()] -= 1
-        return prev
-
     def _ensure_groups(self) -> dict[str, _Grouping]:
+        """Each marginal's group probabilities: one ``math.fsum`` over each group's rows."""
         groups = self._groups
         if groups:
             return groups
-        radix = self.t + 1
-        fields = {
-            "state": [(column, radix) for column in self.counts.T],
-            "prev": [(column, radix) for column in self._prev_counts().T],
-            "last": [(self._last(), self.k)],
-        }
-        for name, key in _MARGINAL_KEYS.items():
-            groups[name] = _group(self.probs, [column for f in key for column in fields[f]])
+        for name, part in self._layout.partitions.items():
+            members = self.probs[part.order].tolist()
+            bounds = part.bounds
+            sums = [math.fsum(members[a:b]) for a, b in zip(bounds, bounds[1:])]
+            groups[name] = _Grouping(part.inverse, part.rep, np.array(sums))
         return groups
 
     def marginals(self) -> dict[str, dict]:
@@ -213,8 +286,8 @@ class JointTable:
             return self._marginals
         groups = self._ensure_groups()
         state, prev = groups["p_state"], groups["p_prev"]
-        last = self._last().tolist()
-        prev_counts = self._prev_counts()
+        last = _last(self.trajectories).tolist()
+        prev_counts = _prev_counts(self.trajectories, self.counts)
 
         def realised(rows: np.ndarray) -> list[tuple]:
             return [add_counts(self.xi0, CountVector(row)).alpha for row in rows.tolist()]
@@ -249,31 +322,17 @@ def build_joint(phi: CategoricalParam, xi0: Hyperparameter, t: int) -> JointTabl
     if t < 1:
         raise DomainError(f"the joint is defined for t >= 1, got {t}")
     support = phi.support
-    m = len(support)
-    n = m**t
+    n = len(support) ** t
     if n > DEFAULT_JOINT_CAP:
         raise ResourceCapError(
             f"joint table for t={t} would enumerate {n} trajectories, exceeding "
             f"the cap of {DEFAULT_JOINT_CAP}; reduce t"
         )
 
-    idx = np.arange(n, dtype=np.int64)
-    trajs = np.empty((n, t), dtype=np.int8)
-    divisor = n
-    for j in range(t):
-        divisor //= m
-        trajs[:, j] = (idx // divisor) % m
-    support_map = np.asarray(support, dtype=np.int8)
-    trajs = support_map[trajs]
-
-    k = phi.size
-    counts = np.empty((n, k), dtype=np.int16)
-    for x in range(k):
-        counts[:, x] = (trajs == x).sum(axis=1)
-
+    layout = _layout(phi.size, support, t)
     probs = np.ones(n, dtype=float)
     for x in support:
-        probs *= phi.probs[x] ** counts[:, x]
+        probs *= phi.probs[x] ** layout.counts[:, x]
 
     if not probs.all():
         raise DomainError(
@@ -284,7 +343,7 @@ def build_joint(phi: CategoricalParam, xi0: Hyperparameter, t: int) -> JointTabl
         raise InternalConsistencyError(
             f"joint probabilities sum to {total!r}, off from 1 by more than 1e-12"
         )
-    return JointTable(k=k, t=t, phi=phi, xi0=xi0, trajectories=trajs, probs=probs, counts=counts)
+    return JointTable(k=phi.size, t=t, phi=phi, xi0=xi0, probs=probs, _layout=layout)
 
 
 # ---------------------------------------------------------------------------

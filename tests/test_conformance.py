@@ -1,6 +1,7 @@
 """Checks for the conformance runner and the report surfaces."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -46,6 +47,17 @@ class TestRunner:
         # t=4 joints exceed the cap and get skipped, one warning per start.
         assert len(result.warnings) == 5 * len(conformance.XI0_GRIDS[2])
         assert result.all_passed  # skipping is a warning, not a failure
+        # With two skipped times per data parameter, the warnings still come
+        # in the report's canonical order: data parameter, then time, then start.
+        result = run_conformance(max_k=2, max_t=5)
+        prefixes = [
+            f"skipped k=2 phi={probs} t={t} xi0={xi0}: "
+            for probs in conformance.PHI_GRIDS[2]
+            for t in (4, 5)
+            for xi0 in conformance.XI0_GRIDS[2]
+        ]
+        assert len(result.warnings) == len(prefixes)
+        assert all(w.startswith(p) for w, p in zip(result.warnings, prefixes))
 
     def test_zero_tolerance_fails(self, monkeypatch):
         monkeypatch.setattr(conformance, "CLOSURE_TOLERANCE", 0.0)
@@ -99,9 +111,13 @@ class TestRunner:
             return build(phi, xi0, t, *args, **kwargs)
 
         monkeypatch.setattr(conformance, "build_joint", counting_build)
+        oracle._layout.cache_clear()
         result = run_conformance(max_k=3, max_t=8)
         assert len(builds) == len(set(builds)) == 2 * 5 * 8
         assert result.total == 820 and result.all_passed
+        # The five data parameters of one (k, t) share the oracle's row
+        # layout: the grid enumerates each (k, t) once, not once per phi.
+        assert oracle._layout.cache_info().misses == 2 * 8
 
     def test_one_oracle_evaluation_per_grid_point(self, monkeypatch):
         calls = []
@@ -147,3 +163,25 @@ class TestRunner:
             "pass",
         }
 
+
+class TestReportBytes:
+    # sha256 of the benchmark grid's report: stdout without --out, and the
+    # --out file with the stdout printed beside it.  The run order of the grid
+    # and the oracle's sharing of work between tables may change; these bytes
+    # may not.  A change to them is a change to the report, made on purpose.
+    STDOUT = "7f1069e112a9f8c24cc1cdfdd1cbd30b8e806976688c243f1f951eb7e28d74ca"
+    OUT_FILE = "4cb1ea0c69aaa9342e54fa8ebb4049808abd2a5530e22fa290cfd1146d7df2bc"
+    OUT_STDOUT = "d1fdc1f8b9ba2c8b25ca81863cfef73ca9942fad594bbf6d79cf6a4c84b564e8"
+
+    @staticmethod
+    def run(*args):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(["conformance", "--max-k", "3", "--max-t", "8", *args]) == 0
+        return hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+
+    def test_benchmark_grid_report_is_byte_stable(self, tmp_path):
+        assert self.run() == self.STDOUT
+        report = tmp_path / "report.json"
+        assert self.run("--out", str(report)) == self.OUT_STDOUT
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == self.OUT_FILE

@@ -11,6 +11,7 @@ import dataclasses
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 import infoclosure.oracle as oracle
@@ -38,7 +39,7 @@ from infoclosure import (
     pointwise_ntic,
     symbol_entropy,
 )
-from infoclosure.conformance import KL_COUNT_GRID, XI0_GRIDS
+from infoclosure.conformance import KL_COUNT_GRID, PHI_GRIDS, XI0_GRIDS
 from infoclosure.oracle import beta_log_moment_quadrature
 
 UNIFORM2 = CategoricalParam((0.5, 0.5))
@@ -418,3 +419,68 @@ class TestMarginals:
         assert oracle_mutual_information(joint, "full_past") == pytest.approx(
             count_entropy(phi, 2), abs=1e-12
         )
+
+
+def oracle_sums(joint):
+    """The grid's three oracle sums, as bits (``hex`` tells -0.0 from 0.0)."""
+    return [
+        oracle_mutual_information(joint, "full_past").hex(),
+        oracle_mutual_information(joint, "one_step").hex(),
+        oracle_transfer_entropy(joint).hex(),
+    ]
+
+
+class TestSharedLayout:
+    # Tables of one (K, support, t) share one row layout, kept for the last
+    # (K, support, t) built; only their probabilities are their own.
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_shared_layout_gives_the_sums_of_a_fresh_one(self, k):
+        grid = PHI_GRIDS[k]
+        xi0 = Hyperparameter(XI0_GRIDS[k][0])
+        unrelated = CategoricalParam((0.5, 0.5) if k == 3 else (0.2, 0.3, 0.5))
+        for t in range(1, 7):
+            for i, probs in enumerate(grid):
+                phi = CategoricalParam(probs)
+                build_joint(CategoricalParam(grid[i - 1]), xi0, t)
+                before = oracle._layout.cache_info()
+                shared = build_joint(phi, xi0, t)
+                assert oracle._layout.cache_info().hits == before.hits + 1
+                build_joint(unrelated, Hyperparameter((1,) * unrelated.size), t)
+                before = oracle._layout.cache_info()
+                fresh = build_joint(phi, xi0, t)
+                assert oracle._layout.cache_info().misses == before.misses + 1
+                assert oracle_sums(shared) == oracle_sums(fresh)
+
+    def test_support_is_part_of_the_key(self):
+        xi0 = Hyperparameter((1, 1, 1))
+        for t in range(1, 6):
+            assert len(build_joint(CategoricalParam((0.2, 0.3, 0.5)), xi0, t)) == 3**t
+            joint = build_joint(CategoricalParam((0.5, 0.0, 0.5)), xi0, t)
+            assert len(joint) == 2**t
+            assert 1 not in joint.trajectories
+            assert joint.probs.tolist() == [0.5**t] * 2**t
+
+    def test_shared_arrays_are_read_only(self):
+        joint = build_joint(CategoricalParam((0.3, 0.7)), XI_FLAT2, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            joint.trajectories[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            joint.counts[0, 0] = 0
+        for part in joint._layout.partitions.values():
+            for index in (part.order, part.inverse, part.rep):
+                assert index.dtype == np.int32
+                assert not index.flags.writeable
+
+    def test_interleaved_builds_agree(self):
+        a = (CategoricalParam((0.2, 0.8)), XI_FLAT2, 5)
+        b = (CategoricalParam((0.2, 0.3, 0.5)), Hyperparameter((1, 1, 1)), 4)
+        first = build_joint(*a)
+        sums = oracle_sums(first)
+        other = build_joint(*b)
+        oracle_sums(other)
+        again = build_joint(*a)
+        assert oracle_sums(again) == sums
+        assert again.trajectories.tolist() == first.trajectories.tolist()
+        assert again.probs.tolist() == first.probs.tolist()
+        assert first.marginals() == again.marginals()

@@ -9,6 +9,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from infoclosure.oracle import build_joint
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -27,3 +29,9 @@ def test_every_target_resolves_to_a_callable():
         assert callable(obj), name
         # The tracer drives generator targets item by item.
         assert inspect.isgeneratorfunction(obj) == (kind == "gen"), name
+
+
+def test_build_joint_takes_what_the_tracer_reads():
+    # ``spans._note_joint`` labels a traced build by its first three
+    # positional arguments, read as (phi, xi0, t).
+    assert list(inspect.signature(build_joint).parameters)[:3] == ["phi", "xi0", "t"]
