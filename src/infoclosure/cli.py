@@ -3,8 +3,9 @@
 Commands
 --------
 curve        one row per time step with the requested expected quantities,
-             exact while count space stays small, Monte Carlo (plug-in
-             pointwise estimates over sampled trajectories) beyond that
+             exact while the row's last-count table fits under
+             ``closure.TABLE_TERM_CAP``, Monte Carlo (plug-in pointwise
+             estimates over sampled trajectories) beyond that
 trajectory   per-prefix table of the pointwise quantities of one trajectory
 witness      human-readable demonstration that identical one-step pointwise
              closure coexists with different information gains
@@ -41,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import closure
 from .bayes import (
     belief_tables,
     full_past_info_gain_from_count,
@@ -69,7 +71,6 @@ from .process import (
     CategoricalParam,
     CountVector,
     Hyperparameter,
-    count_space_size,
     sample_trajectories,
 )
 
@@ -78,9 +79,6 @@ EXIT_USAGE = 1
 EXIT_WITNESS = 2
 EXIT_CONFORMANCE = 3
 EXIT_RESOURCE = 4
-
-#: Count-space size above which `curve` switches from exact to Monte Carlo.
-EXACT_MODE_CAP = 10**6
 
 #: Most bytes the sampled trajectories of a Monte Carlo row may take.  A row
 #: at time t holds 24 bytes per sampled symbol (a float64 uniform, its int64
@@ -351,18 +349,18 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if ("info_gain" in quantities or "surprise" in quantities) and args.xi0 is None:
         raise UsageError("quantities info_gain and surprise need xi0")
 
-    # Count space grows with t, so every row from the first one over the cap is sampled.
-    first_mc = next(
-        (t for t in range(1, t_max + 1) if count_space_size(phi.size, t) > EXACT_MODE_CAP),
-        t_max + 1,
-    )
+    # Row t is exact while last_count_weights can build its K * (t + 1) table;
+    # the cap is read at call time, so one patch moves both.
+    first_mc = max(1, closure.TABLE_TERM_CAP // phi.size)
     if first_mc <= t_max:
         if args.seed < 0:
             raise UsageError(f"invalid seed: Monte Carlo rows need seed >= 0, got {args.seed}")
         if args.samples < 1:
             raise ResourceCapError(
-                f"count space at t={first_mc} exceeds the exact-mode cap of {EXACT_MODE_CAP}; "
-                f"Monte Carlo mode needs --samples N (got {args.samples})"
+                f"the last-count table at t={first_mc} would hold "
+                f"{phi.size * (first_mc + 1)} entries, exceeding the cap of "
+                f"{closure.TABLE_TERM_CAP}; Monte Carlo mode needs --samples N "
+                f"(got {args.samples})"
             )
         estimate = args.samples * t_max * 24
         if estimate > MC_BUDGET_BYTES:

@@ -65,8 +65,8 @@ from .process import (
 DEFAULT_COUNT_CAP = 10**7
 
 #: Most entries, K * (t + 1), one ``last_count_weights`` table may hold: 32 MB
-#: of float64, twice the largest table an exact ``curve`` row builds
-#: (K = 2, t < 10**6).
+#: of float64.  It is also ``curve``'s switch: row t is exact while its table
+#: fits, so the first Monte Carlo row is ``TABLE_TERM_CAP // K``.
 TABLE_TERM_CAP = 4 * 10**6
 
 

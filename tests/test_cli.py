@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import infoclosure.cli as cli
+import infoclosure.closure as closure
 import infoclosure.conformance as conformance
+from infoclosure import CategoricalParam, ResourceCapError, ntic, one_step_ntic
 
 
 def run_cli(*args):
@@ -82,7 +84,7 @@ class TestCurve:
                     assert str(value) == cell
 
     def test_method_column_flags_monte_carlo(self, monkeypatch):
-        monkeypatch.setattr(cli, "EXACT_MODE_CAP", 3)
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 6)
         rc, out, _ = run_cli(
             "curve", "--phi", "0.5,0.5", "--tmax", "4", "--samples", "200", "--seed", "3"
         )
@@ -91,19 +93,18 @@ class TestCurve:
         assert [row[-1] for row in rows] == ["exact", "exact", "mc", "mc"]
 
     def test_monte_carlo_estimates_track_exact_values(self, monkeypatch):
-        monkeypatch.setattr(cli, "EXACT_MODE_CAP", 3)
+        # Taken before the patch: the cap refuses the library's t = 4 table too.
+        exact = ntic(CategoricalParam((0.5, 0.5)), 4).value
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 6)
         rc, out, _ = run_cli(
             "curve", "--phi", "0.5,0.5", "--tmax", "4", "--samples", "20000", "--seed", "5"
         )
         _, rows = parse_csv(out)
         assert rc == 0
-        from infoclosure import CategoricalParam, ntic
-
-        exact = ntic(CategoricalParam((0.5, 0.5)), 4).value
         assert float(rows[3][1]) == pytest.approx(exact, abs=0.02)
 
     def test_monte_carlo_needs_samples(self, monkeypatch):
-        monkeypatch.setattr(cli, "EXACT_MODE_CAP", 3)
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 6)
         rc, _, err = run_cli("curve", "--phi", "0.5,0.5", "--tmax", "5")
         assert rc == 4
         assert "--samples" in err
@@ -114,6 +115,7 @@ class TestCurve:
         def no_row(*args):
             raise AssertionError("a row was computed before the refusal")
 
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 150)
         monkeypatch.setattr(cli, "last_count_weights", no_row)
         monkeypatch.setattr(cli, "sample_trajectories", no_row)
         rc, out, err = run_cli(
@@ -124,7 +126,7 @@ class TestCurve:
         assert reason in err
 
     def test_monte_carlo_refuses_a_negative_seed(self, monkeypatch):
-        monkeypatch.setattr(cli, "EXACT_MODE_CAP", 3)
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 6)
         argv = ("curve", "--phi", "0.5,0.5", "--samples", "10", "--seed", "-1", "--tmax")
         assert run_cli(*argv, "2")[0] == 0  # exact rows never read the seed
         rc, out, err = run_cli(*argv, "3")
@@ -132,7 +134,7 @@ class TestCurve:
         assert err.startswith("error:") and "seed" in err
 
     def test_monte_carlo_budget_bounds_samples_times_tmax(self, monkeypatch):
-        monkeypatch.setattr(cli, "EXACT_MODE_CAP", 3)
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 6)
         monkeypatch.setattr(cli, "MC_BUDGET_BYTES", 24 * 200 * 4)
         argv = ("curve", "--phi", "0.5,0.5", "--tmax", "4", "--seed", "3", "--samples")
         assert run_cli(*argv, "200")[0] == 0
@@ -142,7 +144,7 @@ class TestCurve:
         assert "19296 bytes" in err
 
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "EXACT_MODE_CAP", 2)
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 4)
         paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
         for path, seed in zip(paths, ("9", "9", "10")):
             rc, _, _ = run_cli(
@@ -177,6 +179,63 @@ class TestCurve:
         assert run_cli("curve", "--phi", "0.5,0.5", "--tmax", "2", "--quantities", "x")[0] == 1
         assert run_cli("curve", "--phi", "0.5,0.5", "--xi0", "1,1,1", "--tmax", "2")[0] == 1
         assert run_cli("nonsense")[0] == 1
+
+
+class TestExactSwitch:
+    """Row t is exact exactly when ``last_count_weights`` can build its table."""
+
+    def test_one_symbol_is_refused_before_any_table(self, monkeypatch):
+        real, built = cli.last_count_weights, []
+
+        def spy(phi, t):
+            built.append(t)
+            return real(phi, t)
+
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 10)
+        monkeypatch.setattr(cli, "last_count_weights", spy)
+        rc, out, err = run_cli("curve", "--phi", "1", "--tmax", "20")
+        assert (rc, out, built) == (4, "", [])
+        assert "11 entries" in err and "cap of 10" in err and "--samples" in err
+
+        rc, out, _ = run_cli("curve", "--phi", "1", "--tmax", "20", "--samples", "5")
+        _, rows = parse_csv(out)
+        assert rc == 0
+        assert [row[-1] for row in rows] == ["exact"] * 9 + ["mc"] * 11
+        assert built == list(range(1, 10))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 10])
+    def test_first_sampled_row_is_the_first_refused_table(self, monkeypatch, k):
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 40)
+        phi = CategoricalParam((1.0 / k,) * k)
+        refused = 1
+        while True:
+            try:
+                closure.last_count_weights(phi, refused)
+            except ResourceCapError:
+                break
+            refused += 1
+        assert refused == 40 // k
+        phi_text = ",".join(map(repr, phi.probs))
+        rc, out, _ = run_cli(
+            "curve", "--phi", phi_text, "--tmax", "45", "--samples", "3", "--seed", "1"
+        )
+        _, rows = parse_csv(out)
+        assert rc == 0
+        assert [row[-1] for row in rows].index("mc") + 1 == refused
+
+    def test_four_symbols_run_exact_to_t_200(self):
+        rc, out, _ = run_cli(
+            "curve", "--phi", "0.25,0.25,0.25,0.25", "--xi0", "1,1,1,1", "--tmax", "200",
+            "--quantities", "ntic,one_step_ntic,info_gain,surprise",
+        )
+        header, rows = parse_csv(out)
+        assert rc == 0
+        assert {row[-1] for row in rows} == {"exact"}
+        phi = CategoricalParam((0.25,) * 4)
+        for t, row in enumerate(rows, start=1):
+            cells = dict(zip(header, row))
+            assert float(cells["ntic"]) == ntic(phi, t).value
+            assert float(cells["one_step_ntic"]) == one_step_ntic(phi, t)
 
 
 class TestTrajectory:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import infoclosure.cli as cli
+import infoclosure.closure as closure
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -161,7 +162,7 @@ def test_nondyadic_prior_exact_curve_bytes():
 
 
 def test_monte_carlo_curve_bytes(monkeypatch):
-    monkeypatch.setattr(cli, "EXACT_MODE_CAP", 2)  # every K=3 row samples
+    monkeypatch.setattr(closure, "TABLE_TERM_CAP", 3)  # every K=3 row samples
     out = stdout_of(
         "curve", "--phi", "0.2,0.3,0.5", "--xi0", "0.5,2,1.25", "--tmax", "4",
         "--quantities", "ntic,one_step_ntic,info_gain,surprise",
