@@ -18,9 +18,6 @@ curves, per-trajectory tables, the witness, and the conformance grid.
 """
 
 from .bayes import (
-    InfoGainReport,
-    WitnessReport,
-    expected_log_predictive,
     full_past_info_gain,
     full_past_info_gain_from_count,
     hindsight_empirical_surprise,
@@ -42,9 +39,8 @@ from .closure import (
     pointwise_ntic_from_count,
     symbol_entropy,
 )
-from .conformance import ConformanceRecord, ConformanceResult, run_conformance
+from .conformance import run_conformance
 from .errors import (
-    AlphabetMismatchError,
     DomainError,
     InfoClosureError,
     InternalConsistencyError,
@@ -55,65 +51,49 @@ from .errors import (
 from .oracle import (
     JointTable,
     build_joint,
-    oracle_expected_log_predictive,
     oracle_kl_quadrature,
     oracle_mutual_information,
     oracle_ntic,
-    oracle_pointwise_ntic,
     oracle_transfer_entropy,
 )
 from .process import (
-    NEG_INFINITY,
     CategoricalParam,
     CountVector,
     Hyperparameter,
-    Trajectory,
     add_counts,
     count,
     count_log_prob,
-    count_space_size,
     enumerate_counts,
     inverse_count_cardinality,
     log_count_cardinality,
     sample_trajectory,
-    symbol_prob,
     trajectory_log_prob,
     update,
 )
-from .special import EULER_GAMMA, digamma, log_gamma
+from .special import digamma, log_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphabetMismatchError",
     "CategoricalParam",
-    "ConformanceRecord",
-    "ConformanceResult",
     "CountVector",
     "DomainError",
-    "EULER_GAMMA",
     "Hyperparameter",
     "InfoClosureError",
-    "InfoGainReport",
     "InternalConsistencyError",
     "JointTable",
-    "NEG_INFINITY",
     "NticReport",
     "QuadratureError",
     "ResourceCapError",
-    "Trajectory",
     "WitnessFailedError",
-    "WitnessReport",
     "add_counts",
     "build_joint",
     "count",
     "count_entropy",
     "count_last_distribution",
     "count_log_prob",
-    "count_space_size",
     "digamma",
     "enumerate_counts",
-    "expected_log_predictive",
     "full_past_info_gain",
     "full_past_info_gain_from_count",
     "hindsight_empirical_surprise",
@@ -128,11 +108,9 @@ __all__ = [
     "one_step_info_gain_from_count",
     "one_step_ntic",
     "one_step_pointwise_ntic",
-    "oracle_expected_log_predictive",
     "oracle_kl_quadrature",
     "oracle_mutual_information",
     "oracle_ntic",
-    "oracle_pointwise_ntic",
     "oracle_transfer_entropy",
     "pointwise_ntic",
     "pointwise_ntic_from_count",
@@ -140,7 +118,6 @@ __all__ = [
     "run_conformance",
     "sample_trajectory",
     "symbol_entropy",
-    "symbol_prob",
     "trajectory_log_prob",
     "update",
 ]

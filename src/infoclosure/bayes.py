@@ -7,7 +7,6 @@ parameter of the Bayesian posterior.  This module evaluates the quantities
 that depend on that interpretation:
 
 * posterior predictive probability and (hindsight) marginal surprise;
-* expected log predictive under the belief, in digamma closed form;
 * one-step information gain (KL from belief before to belief after one
   observation), both as a two-term decomposition and in digamma form;
 * full-past information gain (KL from the prior belief to the belief after a
@@ -166,13 +165,6 @@ def hindsight_empirical_surprise(traj: Sequence[int]) -> float:
     """
     value = -one_step_pointwise_ntic(traj)
     return value if value != 0.0 else 0.0  # folds -0.0 onto 0.0
-
-
-def expected_log_predictive(xi: Hyperparameter, x: int) -> float:
-    """Belief-expected log probability of x: digamma((xi)_x) - digamma(|xi|)."""
-    _check_symbol(xi, x)
-    nums, den = xi.over_common_denominator
-    return digamma(nums[x] / den) - digamma(sum(nums) / den)
 
 
 # ---------------------------------------------------------------------------

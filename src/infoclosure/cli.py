@@ -236,19 +236,19 @@ def _scale_row(row: dict, units: str) -> dict:
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    """The JSON ``config`` object: nine keys, the curve-only ones constant for a trajectory."""
-    curve = args.command == "curve"
-    return {
+    """The JSON ``config`` object: the flags the command parsed, ``--out`` and ``--config`` aside."""
+    echo = {
         "phi": list(args.phi.probs) if args.phi is not None else None,
         "xi0": list(args.xi0.as_floats()) if args.xi0 is not None else None,
-        "tmax": args.tmax if curve else None,
-        "traj": None if curve else list(args.traj),
-        "quantities": list(args.quantities if curve else ("ntic",)),
-        "seed": args.seed if curve else 0,
-        "samples": args.samples if curve else 0,
-        "units": args.units,
-        "format": args.format,
     }
+    if args.command == "curve":
+        echo.update(
+            tmax=args.tmax, quantities=list(args.quantities), seed=args.seed, samples=args.samples
+        )
+    else:
+        echo["traj"] = list(args.traj)
+    echo.update(units=args.units, format=args.format)
+    return echo
 
 
 def _render(

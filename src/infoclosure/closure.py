@@ -33,8 +33,9 @@ and each result is one exactly rounded ``math.fsum``, independent of the
 summation order.  Only the terms of nonzero weight reach the ``fsum``: it
 ignores exact zeros, so dropping them changes no bit, and most of a long
 row's binomial tail underflows to 0 (all but one entry when K = 1).  The
+table's rows are built at full length for every 0 < phi_x < 1, and the
 count entropy and the one-step closure build their terms at the nonzero
-weights only, so such rows cost little more than their live entries.
+weights only.
 ``count_entropy``, ``ntic``, ``one_step_ntic``, the conformance closed forms
 and the CLI's exact curve rows are all built on it.
 """

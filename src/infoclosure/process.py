@@ -15,9 +15,10 @@ Numeric conventions used throughout the package:
   exactly zero is represented by ``NEG_INFINITY``;
 * multinomial coefficients are exact arbitrary-precision integers; their
   logarithms come from the exact integer while the total is <= 64 and from
-  ``log_gamma`` above that.  The per-row binomial tables of the closed forms
-  take them from one table of log m! with the same split, grown once per
-  process rather than rebuilt per call (``log_factorials``);
+  one table of log m! above that (``log_factorials``: the log of the exact
+  integer while m <= 64, ``log_gamma(m + 1)`` above), which the per-row
+  binomial tables of the closed forms read too, grown once per process
+  rather than rebuilt per call;
 * count space is walked one ``CountVector`` at a time, in lexicographic
   order (``enumerate_counts``); no closed form needs it, only the views and
   checks that look at single states;
@@ -43,7 +44,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import AlphabetMismatchError, DomainError
-from .special import log_gamma, shifted_column
+from .special import log_gamma
 
 NEG_INFINITY = float("-inf")
 
@@ -261,15 +262,14 @@ def inverse_count_cardinality(c: CountVector) -> int:
 def log_count_cardinality(c: CountVector) -> float:
     """Natural log of ``inverse_count_cardinality(c)``.
 
-    Uses the exact integer while total <= 64, log-gamma above; the values
-    log_gamma(m + 1), m = 0..total, are computed once per process
-    (``special.shifted_column``).
+    Uses the exact integer while total <= 64 and the ``log_factorials``
+    table above, whose entries are computed once per process.
     """
     total = c.total
     if total <= _EXACT_LOG_TOTAL:
         return math.log(inverse_count_cardinality(c))
-    log_fact = shifted_column(log_gamma, 1, 1, total)
-    return log_fact[total] - math.fsum(log_fact[n] for n in c.counts)
+    log_fact = log_factorials(total)
+    return float(log_fact[total]) - math.fsum(log_fact[n] for n in c.counts)
 
 
 def count_log_prob(phi: CategoricalParam, c: CountVector) -> float:
@@ -303,12 +303,12 @@ def count_space_size(k: int, t: int) -> int:
 def log_factorials(n: int) -> np.ndarray:
     """log(m!) for m = 0..n as one read-only float array.
 
-    Same split as ``log_count_cardinality``: the log of the exact integer
-    while m <= 64, ``log_gamma(m + 1)`` above.  The entries come from one
-    table that grows to the largest n asked for, so each is computed once
-    per process and keeps its value bit for bit.  The table is a prefix of a
-    buffer whose capacity at least doubles when it is outgrown, so an
-    ascending sweep to n copies O(n) entries in O(log n) reallocations.
+    The log of the exact integer while m <= 64, ``log_gamma(m + 1)`` above.
+    The entries come from one table that grows to the largest n asked for,
+    so each is computed once per process and keeps its value bit for bit.
+    The table is a prefix of a buffer whose capacity at least doubles when
+    it is outgrown, so an ascending sweep to n copies O(n) entries in
+    O(log n) reallocations.
     """
     global _log_factorial_table
     table = _log_factorial_table

@@ -31,8 +31,6 @@ from typing import Callable
 
 from .errors import DomainError
 
-EULER_GAMMA = 0.5772156649015328606
-
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # Asymptotic regime threshold; below it the recurrences shift upward.

@@ -29,10 +29,8 @@ from infoclosure import (
     one_step_info_gain,
     one_step_ntic,
     one_step_pointwise_ntic,
-    oracle_expected_log_predictive,
     oracle_kl_quadrature,
     oracle_mutual_information,
-    oracle_pointwise_ntic,
     oracle_transfer_entropy,
     posterior_predictive,
     sample_trajectory,
@@ -40,6 +38,7 @@ from infoclosure import (
 )
 from infoclosure.conformance import KL_COUNT_GRID, PHI_GRIDS, XI0_GRIDS
 from infoclosure.oracle import _layout as oracle_layout
+from infoclosure.oracle import oracle_expected_log_predictive, oracle_pointwise_ntic
 from infoclosure.process import CountVector, add_counts
 
 

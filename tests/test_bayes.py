@@ -15,24 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoclosure import (
-    AlphabetMismatchError,
     CountVector,
     DomainError,
     Hyperparameter,
     WitnessFailedError,
     add_counts,
     count,
-    expected_log_predictive,
     full_past_info_gain,
     hindsight_empirical_surprise,
     marginal_surprise,
     ntic_ig_divergence_witness,
     one_step_info_gain,
     one_step_pointwise_ntic,
-    oracle_expected_log_predictive,
     posterior_predictive,
     update,
 )
+from infoclosure.errors import AlphabetMismatchError
+from infoclosure.oracle import oracle_expected_log_predictive
 
 xi_component = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 
@@ -78,37 +77,6 @@ class TestHindsightEmpiricalSurprise:
     @settings(max_examples=200)
     def test_exact_negation_of_one_step_pointwise(self, traj):
         assert hindsight_empirical_surprise(traj) + one_step_pointwise_ntic(traj) == 0.0
-
-
-class TestExpectedLogPredictive:
-    def test_integer_identities(self):
-        assert expected_log_predictive(Hyperparameter((1, 1)), 0) == pytest.approx(
-            -1.0, abs=1e-12
-        )
-        assert expected_log_predictive(Hyperparameter((2, 1)), 0) == pytest.approx(
-            -0.5, abs=1e-12
-        )
-
-    def test_symmetric_components_equal(self):
-        xi = Hyperparameter((2.5, 2.5))
-        assert expected_log_predictive(xi, 0) == expected_log_predictive(xi, 1)
-
-    @given(st.lists(xi_component, min_size=2, max_size=4), st.data())
-    @settings(max_examples=100)
-    def test_always_nonpositive(self, alpha, data):
-        xi = Hyperparameter(tuple(alpha))
-        x = data.draw(st.integers(0, xi.size - 1))
-        assert expected_log_predictive(xi, x) <= 0.0
-
-    @given(st.lists(xi_component, min_size=2, max_size=4), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_quadrature(self, alpha, data):
-        # Digamma closed form against the Beta-marginal integral.
-        xi = Hyperparameter(tuple(alpha))
-        x = data.draw(st.integers(0, xi.size - 1))
-        assert expected_log_predictive(xi, x) == pytest.approx(
-            oracle_expected_log_predictive(xi, x), abs=1e-9
-        )
 
 
 class TestOneStepInfoGain:

@@ -36,8 +36,9 @@ t,ntic,one_step_ntic,info_gain,surprise,method
 4,1.358874612577037,-0.772259750484185,0.2079646913566957,0.9290546258006703,mc
 """
 
-# An exact curve with every quantity, in bits: the JSON document echoes all
-# nine config keys, "traj": null included.
+# An exact curve with every quantity, in bits: the JSON document echoes the
+# curve's own flags, --out and --config aside; "seed" and "samples" hold
+# their defaults.
 CURVE_EXACT_ARGS = (
     "curve", "--phi", "0.2,0.3,0.5", "--xi0", "0.5,2,1.25", "--tmax", "3",
     "--quantities", "ntic,one_step_ntic,info_gain,surprise", "--format", "json", "--units", "bits",
@@ -57,7 +58,6 @@ CURVE_EXACT_JSON_BITS = """\
       1.25
     ],
     "tmax": 3,
-    "traj": null,
     "quantities": [
       "ntic",
       "one_step_ntic",

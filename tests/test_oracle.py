@@ -30,17 +30,19 @@ from infoclosure import (
     ntic,
     one_step_ntic,
     one_step_pointwise_ntic,
-    oracle_expected_log_predictive,
     oracle_kl_quadrature,
     oracle_mutual_information,
     oracle_ntic,
-    oracle_pointwise_ntic,
     oracle_transfer_entropy,
     pointwise_ntic,
     symbol_entropy,
 )
 from infoclosure.conformance import KL_COUNT_GRID, PHI_GRIDS, XI0_GRIDS
-from infoclosure.oracle import beta_log_moment_quadrature
+from infoclosure.oracle import (
+    beta_log_moment_quadrature,
+    oracle_expected_log_predictive,
+    oracle_pointwise_ntic,
+)
 
 UNIFORM2 = CategoricalParam((0.5, 0.5))
 XI_FLAT2 = Hyperparameter((1, 1))

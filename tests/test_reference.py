@@ -302,6 +302,8 @@ class TestSpecialFunctionCalls:
         monkeypatch.setattr(
             process, "log_gamma", counting(calls, "log_gamma_counts", process.log_gamma)
         )
+        # Start the log m! table from its exact part, m <= 64, as a fresh process does.
+        monkeypatch.setattr(process, "_log_factorial_table", process._EXACT_LOG_FACTORIALS)
         phi = CategoricalParam((0.2, 0.3, 0.5))
         xi0 = Hyperparameter((0.37, 2.5, 1.13))
         length = 150
@@ -312,10 +314,9 @@ class TestSpecialFunctionCalls:
         # once.
         assert calls["digamma"] == 2 * length
         assert calls["log_gamma"] == 2 * length + 3 + 1
-        # log Gamma(m + 1) for m = 0..t, each once: all of them at t = 65,
-        # the first row whose multinomial is logged through log-gamma, then
-        # one per row.
-        assert calls["log_gamma_counts"] == length + 1
+        # log Gamma(m + 1) for m = 65..t, each once: one per row from t = 65,
+        # the first row whose multinomial is logged through the log m! table.
+        assert calls["log_gamma_counts"] == length - 64
 
     def test_a_single_call_on_a_fresh_prior_evaluates_only_its_own_points(self, monkeypatch):
         calls = {"digamma": 0, "log_gamma": 0}

@@ -8,12 +8,15 @@ standard library's lgamma, and mpmath at 50 significant digits.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoclosure import EULER_GAMMA, DomainError, digamma, log_gamma
+from infoclosure import DomainError, digamma, log_gamma
+
+EULER_GAMMA = float(mpmath.euler)
 
 
 class TestLogGamma:
@@ -97,7 +100,6 @@ class TestDigamma:
 
 def mp_reference(name, z):
     """``mpmath.<name>(z)`` at 50 significant digits."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         return getattr(mpmath, name)(mpmath.mpf(z))
 
