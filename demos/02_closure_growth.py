@@ -13,7 +13,14 @@ Run:  python3 demos/02_closure_growth.py
 
 import math
 
-from infoclosure import CategoricalParam, ntic, one_step_ntic, one_step_pointwise_ntic
+from infoclosure import (
+    CategoricalParam,
+    count_entropy,
+    ntic,
+    one_step_ntic,
+    one_step_pointwise_ntic,
+    symbol_entropy,
+)
 
 COLS = "{:>3} {:>12} {:>12} {:>12} {:>12}"
 
@@ -22,20 +29,19 @@ for probs in ((0.5, 0.5), (0.2, 0.8), (1.0, 0.0)):
     print(f"phi = {probs}")
     print(COLS.format("t", "closure", "mi term", "te term", "one-step"))
     for t in range(1, 11):
-        report = ntic(phi, t)
         print(
             COLS.format(
                 t,
-                f"{report.value:.6f}",
-                f"{report.mi_term:.6f}",
-                f"{report.te_term:.6f}",
+                f"{ntic(phi, t):.6f}",
+                f"{count_entropy(phi, t):.6f}",
+                f"{symbol_entropy(phi):.6f}",
                 f"{one_step_ntic(phi, t):.6f}",
             )
         )
     print()
 
 print("The fair coin's two-step closure is exactly half of ln 2:")
-print("  value        =", ntic(CategoricalParam((0.5, 0.5)), 2).value)
+print("  value        =", ntic(CategoricalParam((0.5, 0.5)), 2))
 print("  0.5 * ln(2)  =", 0.5 * math.log(2))
 print()
 

@@ -42,7 +42,7 @@ for upto in range(len(traj)):
             symbol,
             f"{predictive:.4f}",
             f"{marginal_surprise(xi0, prefix, symbol):.4f}",
-            f"{one_step_info_gain(xi0, traj[: upto + 1]).value:.4f}",
+            f"{one_step_info_gain(xi0, traj[: upto + 1]):.4f}",
             f"{full_past_info_gain(xi0, traj[: upto + 1]):.4f}",
         )
     )
@@ -58,7 +58,7 @@ print()
 report = ntic_ig_divergence_witness((0,), Hyperparameter((1, 1)), Hyperparameter((10, 10)))
 print("witness on the single observation (0,):")
 print("  one-step pointwise closure, both priors:", report.one_step_pointwise)
-print("  gain under flat prior (1,1):   ", report.info_gain_a.value)
-print("  gain under strong prior (10,10):", report.info_gain_b.value)
+print("  gain under flat prior (1,1):   ", report.info_gain_a)
+print("  gain under strong prior (10,10):", report.info_gain_b)
 print("  gap:", report.gain_gap)
 print("Same closure, different learning: closure cannot measure information gain.")

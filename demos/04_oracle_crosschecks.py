@@ -34,7 +34,7 @@ for t in range(1, 9):
     joint = build_joint(phi, xi0, t)
     te = oracle_transfer_entropy(joint)
     oracle_value = oracle_mutual_information(joint, "full_past") - te
-    closed_value = ntic(phi, t).value
+    closed_value = ntic(phi, t)
     print(
         header.format(
             t, f"{closed_value:.10f}", f"{oracle_value:.10f}", f"{abs(closed_value - oracle_value):.1e}"

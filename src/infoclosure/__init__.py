@@ -29,7 +29,6 @@ from .bayes import (
     posterior_predictive,
 )
 from .closure import (
-    NticReport,
     count_entropy,
     count_last_distribution,
     ntic,
@@ -82,7 +81,6 @@ __all__ = [
     "InfoClosureError",
     "InternalConsistencyError",
     "JointTable",
-    "NticReport",
     "QuadratureError",
     "ResourceCapError",
     "WitnessFailedError",

@@ -8,7 +8,7 @@ that depend on that interpretation:
 
 * posterior predictive probability and (hindsight) marginal surprise;
 * one-step information gain (KL from belief before to belief after one
-  observation), both as a two-term decomposition and in digamma form;
+  observation): the surprise before it minus the digamma hindsight term;
 * full-past information gain (KL from the prior belief to the belief after a
   whole trajectory), via the log-gamma/digamma closed form whose validity the
   oracle module's quadrature confirms.
@@ -22,7 +22,7 @@ one observation earlier.  Python's int / int division is correctly rounded,
 as the float of the exact rational is, so the values are the exact-rational
 ones with no ``Fraction`` arithmetic.  The digamma and log-gamma values sit
 on the unit-step lattices a_x + n and |xi0| + t.  The scalar functions and
-``belief_tables`` read them from the columns ``special`` keeps, so a sweep
+``belief_tables`` read them from the columns each prior keeps, so a sweep
 over t, a trajectory's prefixes or a loop over Monte Carlo samples only
 evaluates points it has not met before.  Digamma is read at counts n >= 1
 only, so its columns start at a_x + 1.
@@ -66,32 +66,17 @@ WITNESS_GAP = 1e-12
 
 
 @dataclass(frozen=True)
-class InfoGainReport:
-    """One-step information gain and its two-term decomposition.
-
-    ``value = surprise_term - expected_hindsight_term`` where the surprise
-    term is the marginal surprise of the last observation before it was
-    incorporated and the hindsight term is the belief-expected surprise about
-    it afterwards.
-    """
-
-    value: float
-    surprise_term: float
-    expected_hindsight_term: float
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     """Constructive demonstration that one-step pointwise closure cannot
     indicate information gain: one shared closure value, two differing gains."""
 
     one_step_pointwise: float
-    info_gain_a: InfoGainReport
-    info_gain_b: InfoGainReport
+    info_gain_a: float
+    info_gain_b: float
 
     @property
     def gain_gap(self) -> float:
-        return abs(self.info_gain_a.value - self.info_gain_b.value)
+        return abs(self.info_gain_a - self.info_gain_b)
 
 
 def _clamp_kl(value):
@@ -172,9 +157,10 @@ def hindsight_empirical_surprise(traj: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _digamma_after(num: int, den: int, n: int) -> float:
-    """psi(num / den + n) for n >= 1, kept in a column that starts at n = 1."""
-    return shifted(digamma, num + den, den, n - 1)
+def _digamma_after(xi0: Hyperparameter, num: int, n: int) -> float:
+    """psi(num / D + n) for n >= 1, kept in a column of ``xi0`` that starts at n = 1."""
+    den = xi0.over_common_denominator[1]
+    return shifted(xi0.shifted_columns, digamma, num + den, den, n - 1)
 
 
 def _gain(surprise_term, digamma_post, digamma_total):
@@ -188,7 +174,7 @@ def _gain(surprise_term, digamma_post, digamma_total):
     return _clamp_kl(surprise_term - -(digamma_post - digamma_total))
 
 
-def one_step_info_gain_from_count(xi0: Hyperparameter, c: CountVector, x: int) -> InfoGainReport:
+def one_step_info_gain_from_count(xi0: Hyperparameter, c: CountVector, x: int) -> float:
     """One-step gain from the counts of the full trajectory and its last symbol.
 
     Count-level core of ``one_step_info_gain``; requires c_x >= 1.
@@ -200,28 +186,21 @@ def one_step_info_gain_from_count(xi0: Hyperparameter, c: CountVector, x: int) -
         raise DomainError(f"the last symbol {x} must occur in the counts, got {c.counts}")
     nums, den = xi0.over_common_denominator
     num, total = nums[x], sum(nums)
-    # Marginal surprise of x before it was incorporated, written in terms of
-    # the full-trajectory counts; the numerator is strictly positive because
-    # n >= 1 and every prior component is > 0.
+    # Marginal surprise of x at the counts before it, c - e_x; the numerator
+    # is strictly positive because n >= 1 and every prior component is > 0.
     surprise_term = _surprise(num + (n - 1) * den, total + (t - 1) * den)
-    digamma_post = _digamma_after(num, den, n)
-    digamma_total = _digamma_after(total, den, t)
-    return InfoGainReport(
-        value=_gain(surprise_term, digamma_post, digamma_total),
-        surprise_term=surprise_term,
-        expected_hindsight_term=-(digamma_post - digamma_total),
-    )
+    return _gain(surprise_term, _digamma_after(xi0, num, n), _digamma_after(xi0, total, t))
 
 
 def belief_tables(xi0: Hyperparameter, t: int) -> tuple[np.ndarray, np.ndarray]:
     """One-step gain and hindsight marginal surprise per (last symbol, count) at time t.
 
     Returns two (K, t + 1) arrays.  Entry [x, n], 1 <= n <= t, is
-    ``one_step_info_gain_from_count(xi0, c, x).value`` and
+    ``one_step_info_gain_from_count(xi0, c, x)`` and
     ``marginal_surprise_from_count(xi0, c, x)`` for every length-t count
     vector c with c_x = n, from the same formulas; column 0 is NaN.  The
     digamma values of the components come from columns grown once per
-    process and that of the total from at most one call, so a row makes at
+    prior and that of the total from at most one call, so a row makes at
     most K * t + 1 digamma calls and an ascending sweep to T O(K * T) in all.
     """
     if t < 1:
@@ -229,7 +208,7 @@ def belief_tables(xi0: Hyperparameter, t: int) -> tuple[np.ndarray, np.ndarray]:
     nums, den = xi0.over_common_denominator
     total = sum(nums)
     post_total = total + t * den
-    digamma_total = _digamma_after(total, den, t)
+    digamma_total = _digamma_after(xi0, total, t)
     gain = np.full((xi0.size, t + 1), np.nan)
     surprise = np.full((xi0.size, t + 1), np.nan)
     for x, num in enumerate(nums):
@@ -240,16 +219,16 @@ def belief_tables(xi0: Hyperparameter, t: int) -> tuple[np.ndarray, np.ndarray]:
         surprise[x, 1:] = [
             _surprise(post, post_total) for post in range(num + den, num + (t + 1) * den, den)
         ]
-        digammas = np.array(shifted_column(digamma, num + den, den, t - 1)[:t])
+        digammas = np.array(shifted_column(xi0.shifted_columns, digamma, num + den, den, t - 1)[:t])
         gain[x, 1:] = _gain(before, digammas, digamma_total)
     return gain, surprise
 
 
-def one_step_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> InfoGainReport:
+def one_step_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> float:
     """KL divergence from the belief before the last observation to the one after.
 
-    Digamma closed form; the report carries the marginal-surprise /
-    expected-hindsight decomposition.
+    Digamma closed form: ``marginal_surprise(xi0, traj[:-1], traj[-1])`` minus
+    the expected hindsight surprise -(psi(a_x + c_x) - psi(|xi0| + t)).
     """
     traj = validate_trajectory(traj, xi0.size)
     if len(traj) < 1:
@@ -262,17 +241,18 @@ def full_past_info_gain_from_count(xi0: Hyperparameter, c: CountVector) -> float
     _check_counts(xi0, c)
     nums, den = xi0.over_common_denominator
     total, t = sum(nums), c.total
+    columns = xi0.shifted_columns
     # Each column is read at m = 0 before m = n, so a sweep appends to it.
-    log_gamma_prior = shifted(log_gamma, total, den, 0)
-    log_g = shifted(log_gamma, total, den, t) - log_gamma_prior + math.fsum(
-        shifted(log_gamma, num, den, 0) - shifted(log_gamma, num, den, n)
+    log_gamma_prior = shifted(columns, log_gamma, total, den, 0)
+    log_g = shifted(columns, log_gamma, total, den, t) - log_gamma_prior + math.fsum(
+        shifted(columns, log_gamma, num, den, 0) - shifted(columns, log_gamma, num, den, n)
         for num, n in zip(nums, c.counts)
     )
     expected_log_lik = 0.0
     if t > 0:
-        digamma_total = _digamma_after(total, den, t)
+        digamma_total = _digamma_after(xi0, total, t)
         expected_log_lik = math.fsum(
-            n * (_digamma_after(num, den, n) - digamma_total)
+            n * (_digamma_after(xi0, num, n) - digamma_total)
             for num, n in zip(nums, c.counts)
             if n > 0
         )
@@ -310,9 +290,9 @@ def ntic_ig_divergence_witness(
     shared = one_step_pointwise_ntic(traj)
     gain_a = one_step_info_gain(xi0_a, traj)
     gain_b = one_step_info_gain(xi0_b, traj)
-    if abs(gain_a.value - gain_b.value) <= WITNESS_GAP:
+    if abs(gain_a - gain_b) <= WITNESS_GAP:
         raise WitnessFailedError(
             f"one-step gains coincide within {WITNESS_GAP} for these priors "
-            f"({gain_a.value!r} vs {gain_b.value!r}); pick priors further apart"
+            f"({gain_a!r} vs {gain_b!r}); pick priors further apart"
         )
     return WitnessReport(one_step_pointwise=shared, info_gain_a=gain_a, info_gain_b=gain_b)

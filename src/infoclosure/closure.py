@@ -43,7 +43,6 @@ and the CLI's exact curve rows are all built on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -69,20 +68,6 @@ DEFAULT_COUNT_CAP = 10**7
 #: of float64.  It is also ``curve``'s switch: row t is exact while its table
 #: fits, so the first Monte Carlo row is ``TABLE_TERM_CAP // K``.
 TABLE_TERM_CAP = 4 * 10**6
-
-
-@dataclass(frozen=True)
-class NticReport:
-    """A closure value at time t together with its two constituent terms.
-
-    ``value`` is ``mi_term - te_term``; carrying both terms lets tests check
-    the decomposition rather than just the difference.
-    """
-
-    t: int
-    value: float
-    mi_term: float
-    te_term: float
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +233,16 @@ def count_entropy(phi: CategoricalParam, t: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ntic(phi: CategoricalParam, t: int) -> NticReport:
-    """Expected full-past closure at time t >= 1.
+def ntic(phi: CategoricalParam, t: int) -> float:
+    """Expected full-past closure at time t >= 1 (nats).
 
-    The mutual-information term is the count entropy, the transfer-entropy
-    term the single-observation entropy; the counter start never enters, so
+    ``count_entropy(phi, t) - symbol_entropy(phi)``: the mutual-information
+    term minus the transfer-entropy term.  The counter start never enters, so
     the result is independent of it by construction.
     """
     if t < 1:
         raise DomainError(f"closure is defined for t >= 1, got {t}")
-    mi = count_entropy(phi, t)
-    te = symbol_entropy(phi)
-    return NticReport(t=t, value=mi - te, mi_term=mi, te_term=te)
+    return count_entropy(phi, t) - symbol_entropy(phi)
 
 
 def pointwise_ntic_from_count(phi: CategoricalParam, c: CountVector, x: int) -> float:

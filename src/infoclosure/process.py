@@ -44,7 +44,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import AlphabetMismatchError, DomainError
-from .special import log_gamma
+from .special import Columns, log_gamma
 
 NEG_INFINITY = float("-inf")
 
@@ -152,6 +152,11 @@ class Hyperparameter:
         """``(N, D)`` with alpha_x = N_x / D exactly; D is the lcm of the denominators."""
         den = math.lcm(*(a.denominator for a in self.alpha))
         return tuple(a.numerator * (den // a.denominator) for a in self.alpha), den
+
+    @cached_property
+    def shifted_columns(self) -> Columns:
+        """The digamma and log-gamma columns ``special.shifted`` keeps for this prior."""
+        return {}
 
 
 @dataclass(frozen=True)

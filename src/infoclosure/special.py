@@ -20,8 +20,8 @@ Accuracy (checked against mpmath at 50 digits in the test suite):
 
 The closed forms evaluate them along unit-step lattices z = a + m, m = 0, 1,
 ..., such as a counter component as its count grows.  ``shifted_column``
-keeps each such lattice's values once they are computed, so a sweep over t
-evaluates every (function, a + m) once per process.
+keeps each such lattice's values in a dict per prior once they are computed,
+so a sweep over t evaluates every (function, a + m) once per prior.
 """
 
 from __future__ import annotations
@@ -103,26 +103,28 @@ def digamma(z: float) -> float:
     return shift + math.log(z) - 0.5 * r - series
 
 
-# f((num + m * den) / den) for m = 0, 1, ..., per (f, num, den); grown by
-# ``shifted_column`` and ``shifted`` and never rewritten.
-_SHIFTED: dict[tuple[Callable[[float], float], int, int], list[float]] = {}
+#: f((num + m * den) / den) for m = 0, 1, ..., per (f, num, den); grown by
+#: ``shifted_column`` and ``shifted`` and never rewritten.
+Columns = dict[tuple[Callable[[float], float], int, int], list[float]]
 
 
-def shifted_column(f: Callable[[float], float], num: int, den: int, n: int) -> list[float]:
-    """``f((num + m * den) / den)`` for m = 0..n, each computed once per process.
+def shifted_column(
+    columns: Columns, f: Callable[[float], float], num: int, den: int, n: int
+) -> list[float]:
+    """``f((num + m * den) / den)`` for m = 0..n, each computed once per ``columns``.
 
     The argument is the rational num / den + m, rounded once by the correctly
     rounded int / int division, as ``float(Fraction(num, den) + m)`` is, so
-    an entry equals f at that float bit for bit.  The list is shared and may
-    be longer than n + 1: read it, never write to it.
+    an entry equals f at that float bit for bit.  The list is kept in
+    ``columns`` and may be longer than n + 1: read it, never write to it.
     """
-    column = _SHIFTED.setdefault((f, num, den), [])
+    column = columns.setdefault((f, num, den), [])
     if n >= len(column):
         column.extend([f((num + m * den) / den) for m in range(len(column), n + 1)])
     return column
 
 
-def shifted(f: Callable[[float], float], num: int, den: int, n: int) -> float:
+def shifted(columns: Columns, f: Callable[[float], float], num: int, den: int, n: int) -> float:
     """``f((num + n * den) / den)``, kept in its ``shifted_column`` when that is cheap.
 
     A read at most twice the column's length grows the column to n, so an
@@ -131,9 +133,9 @@ def shifted(f: Callable[[float], float], num: int, den: int, n: int) -> float:
     as a first read past m = 0, is evaluated on its own and not kept: a
     single call costs one evaluation, not a column of them.
     """
-    column = _SHIFTED.get((f, num, den), ())
+    column = columns.get((f, num, den), ())
     if n < len(column):
         return column[n]
     if n <= 2 * len(column):
-        return shifted_column(f, num, den, n)[n]
+        return shifted_column(columns, f, num, den, n)[n]
     return f((num + n * den) / den)

@@ -65,7 +65,7 @@ def ntic_grid():
         for phi_probs in PHI_GRIDS[k]:
             phi = CategoricalParam(phi_probs)
             for t in range(1, 9):
-                closed_full = ntic(phi, t).value
+                closed_full = ntic(phi, t)
                 closed_one = one_step_ntic(phi, t)
                 oracle_full = []
                 oracle_one = []
@@ -116,12 +116,12 @@ def test_criterion_3_monotone_divergence():
     details = []
     for probs in ((0.5, 0.5), (0.2, 0.8)):
         phi = CategoricalParam(probs)
-        values = [ntic(phi, t).value for t in range(1, 9)]
+        values = [ntic(phi, t) for t in range(1, 9)]
         ok = ok and abs(values[0]) <= 1e-12
         ok = ok and all(b > a for a, b in zip(values, values[1:]))
         details.append(f"phi={probs}: t=1 value {values[0]:.1e}, strictly increasing")
     deterministic = CategoricalParam((1.0, 0.0))
-    flat = [ntic(deterministic, t).value for t in range(1, 9)]
+    flat = [ntic(deterministic, t) for t in range(1, 9)]
     ok = ok and all(v == 0.0 for v in flat)
     details.append("phi=(1,0): all zero")
     report(3, "closure diverges monotonically unless the process is deterministic", ok,
@@ -129,7 +129,7 @@ def test_criterion_3_monotone_divergence():
 
 
 def test_criterion_4_binomial_spot_value():
-    value = ntic(CategoricalParam((0.5, 0.5)), 2).value
+    value = ntic(CategoricalParam((0.5, 0.5)), 2)
     ok = abs(value - 0.5 * math.log(2)) <= 1e-12
     report(4, "two-step closure of a fair coin equals half a bit in nats", ok,
            f"value {value!r}")
@@ -208,7 +208,7 @@ def test_criterion_6_information_gain_consistency():
         xi0 = Hyperparameter(alpha)
         t = int(rng.integers(1, 15))
         traj = tuple(int(x) for x in rng.integers(0, k, size=t))
-        closed = one_step_info_gain(xi0, traj).value
+        closed = one_step_info_gain(xi0, traj)
 
         # Expectation form, by independent routes: replayed posterior
         # predictive for the surprise term, Beta-marginal quadrature for the
@@ -232,7 +232,7 @@ def test_criterion_6_information_gain_consistency():
             worst_quadrature = max(worst_quadrature, abs(closed - quad))
             cases += 1
 
-    spot = one_step_info_gain(Hyperparameter((1, 1)), (0,)).value
+    spot = one_step_info_gain(Hyperparameter((1, 1)), (0,))
     spot_ok = abs(spot - (math.log(2) - 0.5)) <= 1e-10
 
     ok = worst_forms <= 1e-10 and worst_quadrature <= 1e-7 and cases == 20 and spot_ok

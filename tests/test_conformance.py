@@ -96,7 +96,7 @@ class TestRunner:
             if record.quantity in ("ntic_full_past", "ntic_one_step"):
                 phi, t = CategoricalParam(context["phi"]), context["t"]
                 expected = (
-                    ntic(phi, t).value
+                    ntic(phi, t)
                     if record.quantity == "ntic_full_past"
                     else one_step_ntic(phi, t)
                 )

@@ -26,3 +26,25 @@ def unread(names):
 
 def test_every_export_has_a_reader():
     assert unread(infoclosure.__all__) == []
+
+
+def test_every_public_measure_is_a_plain_float():
+    phi = infoclosure.CategoricalParam((0.2, 0.3, 0.5))
+    xi0 = infoclosure.Hyperparameter((0.5, 2, 1))
+    traj = (0, 2, 1, 2)
+    c, x, t = infoclosure.count(traj, 3), traj[-1], len(traj)
+    values = {
+        "ntic": infoclosure.ntic(phi, t),
+        "one_step_ntic": infoclosure.one_step_ntic(phi, t),
+        "count_entropy": infoclosure.count_entropy(phi, t),
+        "symbol_entropy": infoclosure.symbol_entropy(phi),
+        "pointwise_ntic": infoclosure.pointwise_ntic(phi, traj),
+        "one_step_pointwise_ntic": infoclosure.one_step_pointwise_ntic(traj),
+        "marginal_surprise": infoclosure.marginal_surprise(xi0, traj[:-1], x),
+        "hindsight_empirical_surprise": infoclosure.hindsight_empirical_surprise(traj),
+        "one_step_info_gain": infoclosure.one_step_info_gain(xi0, traj),
+        "one_step_info_gain_from_count": infoclosure.one_step_info_gain_from_count(xi0, c, x),
+        "full_past_info_gain": infoclosure.full_past_info_gain(xi0, traj),
+        "oracle_ntic": infoclosure.oracle_ntic(phi, xi0, t, "full_past"),
+    }
+    assert [name for name, v in values.items() if type(v) is not float] == []

@@ -59,7 +59,7 @@ def scalar_row(phi, xi0, t):
             p = math.exp(log_pc) * n / t
             terms["ntic"].append(-p * log_pc)
             terms["one_step_ntic"].append(p * math.log(n / t))
-            terms["info_gain"].append(p * one_step_info_gain_from_count(xi0, c, x).value)
+            terms["info_gain"].append(p * one_step_info_gain_from_count(xi0, c, x))
             terms["surprise"].append(p * marginal_surprise_from_count(xi0, c, x))
     row = {q: math.fsum(values) for q, values in terms.items()}
     row["ntic"] -= symbol_entropy(phi)
@@ -126,7 +126,7 @@ class TestBeliefTables:
                     counts[x] = n
                     counts[(x + 1) % k] += t - n
                     c = CountVector(tuple(counts))
-                    assert gain[x, n] == one_step_info_gain_from_count(xi0, c, x).value
+                    assert gain[x, n] == one_step_info_gain_from_count(xi0, c, x)
                     assert surprise[x, n] == marginal_surprise_from_count(xi0, c, x)
 
 

@@ -9,14 +9,23 @@ the exact row of a different data parameter.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import math
 
 import pytest
 
 import infoclosure.cli as cli
+import infoclosure.closure as closure
 from infoclosure import CategoricalParam, CountVector, Hyperparameter
-from infoclosure.bayes import belief_tables
+from infoclosure.bayes import (
+    belief_tables,
+    marginal_surprise_from_count,
+    one_step_info_gain_from_count,
+)
 from infoclosure.closure import last_count_weights, pointwise_ntic_from_count
+from infoclosure.process import count, sample_trajectories
 
 QUANTITIES = ("ntic", "one_step_ntic", "info_gain", "surprise")
 PHI = CategoricalParam((0.3, 0.7))
@@ -72,3 +81,32 @@ def test_the_exact_row_of_another_phi_is_rejected(mc_row):
     # for every quantity.
     for q, z in z_scores(mc_row, CategoricalParam((0.9, 0.1))).items():
         assert abs(z) > 4.0, (q, z)
+
+
+def test_a_k50_row_is_the_mean_over_the_batch_it_samples(monkeypatch):
+    # The cap moved so that t = 30 is a Monte Carlo row at K = 50; each
+    # sample is recounted symbol by symbol from the same seeded batch.
+    k, t, samples, seed = 50, 30, 300, 7
+    phi = CategoricalParam(tuple(w / 1275 for w in range(1, k + 1)))
+    xi0 = Hyperparameter(tuple(0.25 * (w % 7 + 1) for w in range(k)))
+    monkeypatch.setattr(closure, "TABLE_TERM_CAP", k * t)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([
+            "curve", "--phi", ",".join(map(repr, phi.probs)),
+            "--xi0", ",".join(map(repr, xi0.as_floats())), "--tmax", str(t),
+            "--quantities", ",".join(QUANTITIES), "--samples", str(samples),
+            "--seed", str(seed), "--format", "json",
+        ]) == 0
+    row = json.loads(out.getvalue())["rows"][-1]
+    assert row["method"] == "mc"
+    values = {q: [] for q in QUANTITIES}
+    for traj in sample_trajectories(phi, t, samples, [seed, t]).tolist():
+        c, x = count(traj, k), traj[-1]
+        values["ntic"].append(pointwise_ntic_from_count(phi, c, x))
+        values["one_step_ntic"].append(math.log(c.counts[x] / t))
+        values["info_gain"].append(one_step_info_gain_from_count(xi0, c, x))
+        values["surprise"].append(marginal_surprise_from_count(xi0, c, x))
+    assert {q: row[q] for q in QUANTITIES} == {
+        q: math.fsum(v) / samples for q, v in values.items()
+    }

@@ -169,7 +169,7 @@ class TestOracleNtic:
         xi0 = Hyperparameter((0.5, 2, 2))
         for t in (1, 2, 4, 6):
             assert oracle_ntic(phi, xi0, t, "full_past") == pytest.approx(
-                ntic(phi, t).value, abs=1e-10
+                ntic(phi, t), abs=1e-10
             )
 
 

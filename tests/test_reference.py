@@ -63,11 +63,14 @@ def clamp(value):
     raise InternalConsistencyError(f"KL divergence evaluated to {value!r} < -1e-12")
 
 
+def ref_surprise_term(a, n, total0, t):
+    """The marginal surprise of the last symbol before it was incorporated."""
+    return -math.log(float((a - 1 + n) / (total0 - 1 + t)))
+
+
 def ref_one_step_gain(a, n, total0, t):
-    ratio = (a - 1 + n) / (total0 - 1 + t)
-    surprise_term = -math.log(float(ratio))
     expected_hindsight = -(digamma(float(a + n)) - digamma(float(total0 + t)))
-    return clamp(surprise_term - expected_hindsight), surprise_term, expected_hindsight
+    return clamp(ref_surprise_term(a, n, total0, t) - expected_hindsight)
 
 
 def ref_full_past(xi0, counts):
@@ -91,7 +94,7 @@ def ref_belief_tables(xi0, t):
     total0 = xi0.total
     return [
         (
-            [ref_one_step_gain(a, n, total0, t)[0] for n in range(1, t + 1)],
+            [ref_one_step_gain(a, n, total0, t) for n in range(1, t + 1)],
             [-math.log(float((a + n) / (total0 + t))) for n in range(1, t + 1)],
         )
         for a in xi0.alpha
@@ -131,7 +134,7 @@ def _ref_rows(phi, xi0, traj):
             -one_step,
             ref_marginal_surprise(xi0, counts, traj[t]) if t < len(traj) else None,
             ref_marginal_surprise(xi0, counts, x),
-            ref_one_step_gain(xi0.alpha[x], counts[x], xi0.total, t)[0],
+            ref_one_step_gain(xi0.alpha[x], counts[x], xi0.total, t),
             ref_full_past(xi0, counts),
         ])
     return rows
@@ -245,14 +248,17 @@ class TestAgainstTheRationalReference:
         assert marginal_surprise_from_count(xi0, c, x).hex() == (
             ref_marginal_surprise(xi0, counts, x).hex()
         )
-        report = outcome(one_step_info_gain_from_count, xi0, c, last)
+        gain = outcome(one_step_info_gain_from_count, xi0, c, last)
         expected = outcome(ref_one_step_gain, xi0.alpha[last], counts[last], xi0.total, len(traj))
         if isinstance(expected, str):
-            assert report == expected
+            assert gain == expected
         else:
-            assert hexed([report.value, report.surprise_term, report.expected_hindsight_term]) == (
-                hexed(expected)
-            )
+            assert gain.hex() == expected.hex()
+        # The gain's surprise term is the marginal surprise at the prefix counts.
+        prefix = CountVector(tuple(n - (y == last) for y, n in enumerate(counts)))
+        assert marginal_surprise_from_count(xi0, prefix, last).hex() == (
+            ref_surprise_term(xi0.alpha[last], counts[last], xi0.total, len(traj)).hex()
+        )
         full_past = outcome(full_past_info_gain_from_count, xi0, c)
         expected = outcome(ref_full_past, xi0, counts)
         if isinstance(expected, str):
@@ -266,8 +272,8 @@ class TestAgainstTheRationalReference:
         for counts in [(10**7, 3), (5, 10**9)]:
             c = CountVector(counts)
             assert full_past_info_gain_from_count(xi0, c).hex() == ref_full_past(xi0, counts).hex()
-            value = ref_one_step_gain(xi0.alpha[1], counts[1], xi0.total, sum(counts))[0]
-            assert one_step_info_gain_from_count(xi0, c, 1).value.hex() == value.hex()
+            value = ref_one_step_gain(xi0.alpha[1], counts[1], xi0.total, sum(counts))
+            assert one_step_info_gain_from_count(xi0, c, 1).hex() == value.hex()
 
 
 # ---------------------------------------------------------------------------
