@@ -43,15 +43,12 @@ from typing import Sequence
 import numpy as np
 
 from .closure import one_step_pointwise_ntic
-from .errors import (
-    AlphabetMismatchError,
-    DomainError,
-    InternalConsistencyError,
-    WitnessFailedError,
-)
+from .errors import DomainError, InternalConsistencyError, WitnessFailedError
 from .process import (
     CountVector,
     Hyperparameter,
+    check_size,
+    check_symbol,
     count,
     validate_trajectory,
 )
@@ -98,18 +95,6 @@ def _clamp_kl(value):
 # ---------------------------------------------------------------------------
 
 
-def _check_symbol(xi: Hyperparameter, x: int) -> None:
-    if x < 0 or x >= xi.size:
-        raise AlphabetMismatchError(f"symbol {x} outside alphabet of size {xi.size}")
-
-
-def _check_counts(xi: Hyperparameter, c: CountVector) -> None:
-    if c.size != xi.size:
-        raise AlphabetMismatchError(
-            f"count vector of size {c.size} does not match hyperparameter of size {xi.size}"
-        )
-
-
 def _surprise(post: int, post_total: int) -> float:
     """-log(post / post_total) for a counter component and total scaled by D."""
     return -math.log(post / post_total)
@@ -117,7 +102,7 @@ def _surprise(post: int, post_total: int) -> float:
 
 def posterior_predictive(xi: Hyperparameter, x: int) -> float:
     """Probability of symbol x after marginalizing the belief: (xi)_x / |xi|."""
-    _check_symbol(xi, x)
+    check_symbol(x, xi.size)
     nums, _ = xi.over_common_denominator
     return nums[x] / sum(nums)
 
@@ -127,8 +112,8 @@ def marginal_surprise_from_count(xi0: Hyperparameter, c: CountVector, x: int) ->
 
     Count-level core of ``marginal_surprise``: -log pred(xi0 + c, x).
     """
-    _check_counts(xi0, c)
-    _check_symbol(xi0, x)
+    check_size("count vector", c.size, "hyperparameter", xi0.size)
+    check_symbol(x, xi0.size)
     nums, den = xi0.over_common_denominator
     return _surprise(nums[x] + c.counts[x] * den, sum(nums) + c.total * den)
 
@@ -139,7 +124,6 @@ def marginal_surprise(xi0: Hyperparameter, traj: Sequence[int], x: int) -> float
     With x equal to the trajectory's last symbol this is the hindsight
     marginal surprise.
     """
-    traj = validate_trajectory(traj, xi0.size)
     return marginal_surprise_from_count(xi0, count(traj, xi0.size), x)
 
 
@@ -179,8 +163,8 @@ def one_step_info_gain_from_count(xi0: Hyperparameter, c: CountVector, x: int) -
 
     Count-level core of ``one_step_info_gain``; requires c_x >= 1.
     """
-    _check_symbol(xi0, x)
-    _check_counts(xi0, c)
+    check_symbol(x, xi0.size)
+    check_size("count vector", c.size, "hyperparameter", xi0.size)
     n, t = c.counts[x], c.total
     if n < 1:
         raise DomainError(f"the last symbol {x} must occur in the counts, got {c.counts}")
@@ -238,7 +222,7 @@ def one_step_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> float:
 
 def full_past_info_gain_from_count(xi0: Hyperparameter, c: CountVector) -> float:
     """Full-past gain from a count vector; count-level core of ``full_past_info_gain``."""
-    _check_counts(xi0, c)
+    check_size("count vector", c.size, "hyperparameter", xi0.size)
     nums, den = xi0.over_common_denominator
     total, t = sum(nums), c.total
     columns = xi0.shifted_columns
@@ -264,7 +248,6 @@ def full_past_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> float:
 
     Closed form in log-gamma and digamma; the empty trajectory gives exactly 0.
     """
-    traj = validate_trajectory(traj, xi0.size)
     return full_past_info_gain_from_count(xi0, count(traj, xi0.size))
 
 
@@ -278,8 +261,7 @@ def ntic_ig_divergence_witness(
     when the priors are identical or the gains coincide within
     ``WITNESS_GAP`` (pick different priors in that case).
     """
-    if xi0_a.size != xi0_b.size:
-        raise AlphabetMismatchError("the two priors must have the same dimension")
+    check_size("prior B", xi0_b.size, "prior A", xi0_a.size)
     traj = validate_trajectory(traj, xi0_a.size)
     if len(traj) < 1:
         raise DomainError("the witness needs a nonempty trajectory")

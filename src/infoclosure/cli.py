@@ -12,16 +12,18 @@ witness      human-readable demonstration that identical one-step pointwise
 conformance  closed-form-vs-oracle grid with a JSON report
 
 Every value has one parser: an argparse converter per kind of value
-(probabilities, concentrations, symbols, quantities, integers), shared by
-the four commands.  ``--config FILE`` of ``curve`` and ``trajectory`` names a
-JSON object whose keys are the command's own long flags without the dashes;
+(probabilities, concentrations, symbols, quantities; ``int`` for integers),
+shared by the four commands.  Symbols and the sizes of phi and xi0 are
+checked by the library's ``process.check_symbol`` and ``process.check_size``.
+``--config FILE`` of ``curve`` and ``trajectory`` names a JSON object whose keys are the command's own long flags without the dashes;
 each entry stands for ``--key=value``, a list for its comma-joined items and
 a number or string for its ``str``.  These flags go before the command
 line's, and the last occurrence of a flag wins, so the command line
 overrides the file.
 
 Exit codes: 0 success, 1 usage/config error, 2 witness failure,
-3 conformance failure, 4 resource cap.
+3 conformance failure, 4 resource cap.  A ``conformance`` grid whose largest
+joint exceeds ``oracle.DEFAULT_JOINT_CAP`` exits 4 before any work.
 
 Outputs are deterministic: a fixed configuration and seed reproduce files
 byte for byte, and CSV and JSON carry identical digit strings (floats are
@@ -71,7 +73,9 @@ from .process import (
     CategoricalParam,
     CountVector,
     Hyperparameter,
+    check_size,
     sample_trajectories,
+    validate_trajectory,
 )
 
 EXIT_OK = 0
@@ -86,7 +90,6 @@ EXIT_RESOURCE = 4
 MC_BUDGET_BYTES = 2**30
 
 CURVE_QUANTITIES = ("ntic", "one_step_ntic", "info_gain", "surprise")
-ALL_QUANTITIES = ("ntic", "one_step_ntic", "pointwise", "info_gain", "surprise")
 
 TRAJECTORY_COLUMNS = (
     "pointwise_ntic",
@@ -143,20 +146,14 @@ def _symbols(text: str) -> tuple[int, ...]:
 
 
 def _quantities(text: str) -> tuple[str, ...]:
+    """One or more of ``CURVE_QUANTITIES``; pointwise values are the ``trajectory`` command's."""
     chosen = tuple(dict.fromkeys(q for q in text.split(",") if q))
-    for q in chosen:
-        if q not in ALL_QUANTITIES:
-            raise argparse.ArgumentTypeError(
-                f"unknown quantity {q!r}; choose from {', '.join(ALL_QUANTITIES)}"
-            )
+    if not chosen or not set(chosen) <= set(CURVE_QUANTITIES):
+        raise argparse.ArgumentTypeError(
+            f"need one or more of {', '.join(CURVE_QUANTITIES)}, got {text!r} "
+            "(per-trajectory values come from the 'trajectory' command)"
+        )
     return chosen
-
-
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid integer option: {exc}") from exc
 
 
 def _is_scalar(value) -> bool:
@@ -280,8 +277,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _check_sizes(phi: CategoricalParam | None, xi0: Hyperparameter | None) -> None:
-    if phi is not None and xi0 is not None and phi.size != xi0.size:
-        raise UsageError(f"phi and xi0 dimensions disagree: {phi.size} vs {xi0.size}")
+    if phi is not None and xi0 is not None:
+        check_size("hyperparameter", xi0.size, "parameter", phi.size)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +339,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise UsageError(f"invalid samples: must be >= 0, got {args.samples}")
     _check_sizes(phi, args.xi0)
-    for q in quantities:
-        if q not in CURVE_QUANTITIES:
-            raise UsageError(
-                f"quantity {q!r} is per-trajectory; use the 'trajectory' command"
-            )
     if ("info_gain" in quantities or "surprise" in quantities) and args.xi0 is None:
         raise UsageError("quantities info_gain and surprise need xi0")
 
@@ -392,9 +384,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         raise UsageError("trajectory needs xi0 for the belief-side quantities")
     _check_sizes(phi, xi0)
     k = xi0.size
-    for x in traj:
-        if x < 0 or x >= k:
-            raise UsageError(f"traj symbol {x} outside alphabet of size {k}")
+    traj = validate_trajectory(traj, k)
 
     rows = []
     counts = [0] * k
@@ -452,8 +442,6 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_conformance(args: argparse.Namespace) -> int:
     result = run_conformance(max_k=args.max_k, max_t=args.max_t)
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     by_quantity: dict[str, list] = {}
     for record in result.records:
         by_quantity.setdefault(record.quantity, []).append(record)
@@ -462,16 +450,13 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         worst = max(r.abs_diff for r in records)
         status = "ok" if failed == 0 else f"{failed} FAILED"
         print(f"{quantity}: {len(records)} checks, worst |diff| {worst:.3e}, {status}")
-    print(
-        f"conformance: {result.passed}/{result.total} checks passed"
-        + (f", {len(result.warnings)} grid points skipped (reduced grid)" if result.warnings else "")
-    )
+    print(f"conformance: {result.passed}/{result.total} checks passed")
     document = {
         "summary": {
             "total": result.total,
             "passed": result.passed,
             "failed": result.failed,
-            "skipped": len(result.warnings),
+            "skipped": 0,
         },
         "records": [r.to_json_dict() for r in result.records],
     }
@@ -505,15 +490,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("curve", help="expected quantities over t = 1..tmax")
     _add_common_flags(curve)
-    curve.add_argument("--tmax", type=_integer, help="largest time step")
+    curve.add_argument("--tmax", type=int, help="largest time step")
     curve.add_argument(
         "--quantities",
         type=_quantities,
         default=("ntic",),
         help=f"comma-separated subset of {','.join(CURVE_QUANTITIES)}",
     )
-    curve.add_argument("--seed", type=_integer, default=0, help="RNG seed for Monte Carlo mode")
-    curve.add_argument("--samples", type=_integer, default=0, help="Monte Carlo sample count")
+    curve.add_argument("--seed", type=int, default=0, help="RNG seed for Monte Carlo mode")
+    curve.add_argument("--samples", type=int, default=0, help="Monte Carlo sample count")
 
     trajectory = sub.add_parser("trajectory", help="pointwise quantities per prefix")
     _add_common_flags(trajectory)
@@ -528,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     witness.add_argument("--units", choices=("nats", "bits"), default="nats")
 
     conformance = sub.add_parser("conformance", help="oracle-vs-closed-form grid")
-    conformance.add_argument("--max-k", type=_integer, default=3)
-    conformance.add_argument("--max-t", type=_integer, default=6)
+    conformance.add_argument("--max-k", type=int, default=3)
+    conformance.add_argument("--max-t", type=int, default=6)
     conformance.add_argument("--out")
 
     return parser

@@ -52,6 +52,7 @@ from .process import (
     NEG_INFINITY,
     CategoricalParam,
     CountVector,
+    check_size,
     count,
     count_log_prob,
     count_space_size,
@@ -122,13 +123,14 @@ def expectation(weights: np.ndarray, values: np.ndarray) -> float:
     """Expectation of a per-(last symbol, count) value under a ``last_count_weights`` table.
 
     The sum of weights[x, n] * values[x, n] over every x and n >= 1, exactly
-    rounded.  ``values`` is a (K, t + 1) array such as a ``bayes.belief_tables``
-    table, or one (t + 1,) row shared by every symbol; its column 0 (a count
-    the last symbol cannot have) is never read, nor is any entry whose weight
-    is 0.
+    rounded.  ``values`` is an array of the same (K, t + 1) shape, such as a
+    ``bayes.belief_tables`` table; any other shape raises
+    ``AlphabetMismatchError``.  Its column 0 (a count the last symbol cannot
+    have) is never read, nor is any entry whose weight is 0.
     """
+    check_size("value table", values.shape, "weight table", weights.shape)
     weights = weights[:, 1:]
-    return math.fsum(_nonzero_terms(weights * values[..., 1:], weights))
+    return math.fsum(_nonzero_terms(weights * values[:, 1:], weights))
 
 
 def count_entropy_from_weights(phi: CategoricalParam, weights: np.ndarray) -> float:

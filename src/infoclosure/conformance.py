@@ -9,13 +9,15 @@ the acceptance suite both drive this runner.
 The grid runs in one process.  Within an alphabet size it visits time
 outermost, so the five data parameters of one (K, t) share the oracle's row
 layout, and it reports in canonical order (alphabet size, then data
-parameter, then time), so a report is byte-stable.
+parameter, then time), so a report is byte-stable.  It runs whole or is
+refused before any work (``run_conformance``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import oracle
 from .bayes import full_past_info_gain
 from .closure import (
     count_entropy_from_weights,
@@ -92,7 +94,6 @@ class ConformanceRecord:
 @dataclass
 class ConformanceResult:
     records: list[ConformanceRecord]
-    warnings: list[str]
 
     @property
     def total(self) -> int:
@@ -123,9 +124,7 @@ def _record(quantity: str, context: dict, closed: float, orac: float, tol: float
     )
 
 
-def _ntic_point(
-    k: int, phi_probs: tuple[float, ...], t: int
-) -> tuple[list[ConformanceRecord], list[str]]:
+def _ntic_point(k: int, phi_probs: tuple[float, ...], t: int) -> list[ConformanceRecord]:
     """All comparisons for one (k, phi, t) grid point across the xi0 grid."""
     phi = CategoricalParam(phi_probs)
     records: list[ConformanceRecord] = []
@@ -138,10 +137,7 @@ def _ntic_point(
     # One joint and one oracle evaluation per (phi, t): the definitional sums
     # group the trajectories alike for every start and never read it.
     starts = XI0_GRIDS[k]
-    try:
-        joint = build_joint(phi, Hyperparameter(starts[0]), t)
-    except ResourceCapError as exc:
-        return [], [f"skipped k={k} phi={phi_probs} t={t} xi0={v}: {exc}" for v in starts]
+    joint = build_joint(phi, Hyperparameter(starts[0]), t)
     te = oracle_transfer_entropy(joint)
     oracle_full = oracle_mutual_information(joint, "full_past") - te
     oracle_one = oracle_mutual_information(joint, "one_step") - te
@@ -155,7 +151,7 @@ def _ntic_point(
     spread_context = {"k": k, "phi": list(phi_probs), "t": t, "xi0_grid": [list(v) for v in starts]}
     for quantity in ("ntic_full_past_xi0_spread", "ntic_one_step_xi0_spread"):
         records.append(_record(quantity, spread_context, 0.0, 0.0, XI0_SPREAD_TOL))
-    return records, []
+    return records
 
 
 def _info_gain_records() -> list[ConformanceRecord]:
@@ -180,16 +176,23 @@ def run_conformance(max_k: int = 3, max_t: int = 6) -> ConformanceResult:
 
     The defaults are those of the ``conformance`` command.
     ``CLOSURE_TOLERANCE`` bounds the closure comparisons; the quadrature
-    records use 1e-7.  A joint over ``oracle.DEFAULT_JOINT_CAP`` trajectories
-    is skipped with a warning.
+    records use 1e-7.  Raises ``ResourceCapError``, before any work, when the
+    largest joint, max_k ** max_t trajectories, exceeds
+    ``oracle.DEFAULT_JOINT_CAP`` (read at call time).
     """
     if max_k < 2 or max_k > 3:
         raise DomainError("conformance grids are defined for alphabet sizes 2 and 3")
     if max_t < 1:
         raise DomainError(f"need max_t >= 1, got {max_t}")
+    cap = oracle.DEFAULT_JOINT_CAP
+    # max_k ** cap.bit_length() > cap already, so a huge max_t needs no huge power.
+    if max_k ** min(max_t, cap.bit_length()) > cap:
+        raise ResourceCapError(
+            f"the grid's largest joint, k={max_k} and t={max_t}, would enumerate "
+            f"{max_k}**{max_t} trajectories, exceeding the cap of {cap}; reduce max_t"
+        )
 
     records: list[ConformanceRecord] = []
-    warns: list[str] = []
     for k in range(2, max_k + 1):
         # Time outermost, so the data parameters of one (k, t) share the
         # oracle's row layout; the report keeps the canonical order.
@@ -200,9 +203,7 @@ def run_conformance(max_k: int = 3, max_t: int = 6) -> ConformanceResult:
         }
         for phi_probs in PHI_GRIDS[k]:
             for t in range(1, max_t + 1):
-                point_records, point_warns = points[phi_probs, t]
-                records.extend(point_records)
-                warns.extend(point_warns)
+                records.extend(points[phi_probs, t])
 
     records.extend(_info_gain_records())
-    return ConformanceResult(records=records, warnings=warns)
+    return ConformanceResult(records=records)

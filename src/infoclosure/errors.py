@@ -5,12 +5,15 @@ class InfoClosureError(Exception):
     """Base class for every error raised by this package."""
 
 
-class AlphabetMismatchError(InfoClosureError, ValueError):
-    """A symbol index or vector dimension does not fit the alphabet."""
-
-
 class DomainError(InfoClosureError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
+
+
+class AlphabetMismatchError(DomainError):
+    """A symbol outside the alphabet, or two sizes that must agree differ.
+
+    Raised by ``process.check_symbol`` and ``process.check_size`` only.
+    """
 
 
 class ResourceCapError(InfoClosureError, RuntimeError):

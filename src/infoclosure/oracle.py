@@ -65,6 +65,8 @@ from .process import (
     CountVector,
     Hyperparameter,
     add_counts,
+    check_size,
+    check_symbol,
     count,
     validate_trajectory,
 )
@@ -210,13 +212,6 @@ def _at(grouping: _Grouping, rows: np.ndarray) -> np.ndarray:
     return grouping.probs[grouping.inverse[rows]]
 
 
-def _check_sizes(phi: CategoricalParam, xi0: Hyperparameter) -> None:
-    if xi0.size != phi.size:
-        raise DomainError(
-            f"hyperparameter of size {xi0.size} does not match parameter of size {phi.size}"
-        )
-
-
 @dataclass
 class JointTable:
     """Joint distribution of (trajectory, previous counter state, counter state).
@@ -313,12 +308,13 @@ class JointTable:
 def build_joint(phi: CategoricalParam, xi0: Hyperparameter, t: int) -> JointTable:
     """Enumerate all nonzero-probability trajectories of length t >= 1.
 
-    Raises ``ResourceCapError`` when the enumeration would exceed
-    ``DEFAULT_JOINT_CAP`` trajectories, ``DomainError`` when a trajectory's probability underflows
-    to 0, and ``InternalConsistencyError`` if the resulting probabilities fail
-    to sum to 1 within 1e-12.
+    Raises ``AlphabetMismatchError`` when xi0 and phi differ in size,
+    ``ResourceCapError`` when the enumeration would exceed
+    ``DEFAULT_JOINT_CAP`` trajectories, ``DomainError`` when a trajectory's
+    probability underflows to 0, and ``InternalConsistencyError`` if the
+    resulting probabilities fail to sum to 1 within 1e-12.
     """
-    _check_sizes(phi, xi0)
+    check_size("hyperparameter", xi0.size, "parameter", phi.size)
     if t < 1:
         raise DomainError(f"the joint is defined for t >= 1, got {t}")
     support = phi.support
@@ -428,9 +424,7 @@ def oracle_pointwise_ntic(joint: JointTable, traj: Sequence[int], mode: Mode) ->
     are looked up by the realised counter states of the trajectory.
     """
     traj = validate_trajectory(traj, joint.k)
-    if len(traj) != joint.t:
-        raise DomainError(f"trajectory length {len(traj)} does not match table depth {joint.t}")
-    p_traj = joint.prob(traj)
+    p_traj = joint.prob(traj)  # refuses a length other than the table's
     if p_traj == 0.0:
         raise DomainError("trajectory has zero probability under the table's parameter")
     marginals = joint.marginals()
@@ -568,8 +562,7 @@ def oracle_expected_log_predictive(xi: Hyperparameter, x: int) -> float:
     any alphabet size; serves as the independent route against the digamma
     closed form.  The quadrature runs to an error estimate of 1e-10.
     """
-    if x < 0 or x >= xi.size:
-        raise DomainError(f"symbol {x} outside alphabet of size {xi.size}")
+    check_symbol(x, xi.size)
     if xi.size == 1:
         return 0.0  # the belief is a point mass at probability 1
     a = float(xi.alpha[x])

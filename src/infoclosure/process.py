@@ -1,13 +1,14 @@
 """IID data process, hyperparameter counter, and counting combinatorics.
 
 The data process emits symbols 0..K-1 i.i.d. from a fixed categorical
-parameter; the alphabet is the index range of that parameter, and every
-symbol is checked against it (``validate_trajectory``).  The companion
-counter chain starts at a strictly positive concentration vector and adds a
-one-hot increment per observed symbol; its state after a trajectory is
-therefore the start vector plus the trajectory's count vector.  Everything
-downstream (closure measures, belief layer, oracle) consumes the types and
-counting primitives defined here.
+parameter; the alphabet is the index range of that parameter.  Every symbol
+the package takes is checked against it by ``check_symbol``, and every pair of
+sizes that must agree by ``check_size``.  The companion counter chain
+starts at a strictly positive concentration vector and adds a one-hot
+increment per observed symbol; its state after a trajectory is therefore the
+start vector plus the trajectory's count vector.  Everything downstream
+(closure measures, belief layer, oracle) consumes the types and counting
+primitives defined here.
 
 Numeric conventions used throughout the package:
 
@@ -183,12 +184,25 @@ class CountVector:
         return sum(self.counts)
 
 
+def check_symbol(x: int, k: int) -> None:
+    """Refuse a symbol outside 0..k-1; the package's one home of this rule."""
+    if x < 0 or x >= k:
+        raise AlphabetMismatchError(f"symbol {x} outside alphabet of size {k}")
+
+
+def check_size(what: str, size, other: str, other_size) -> None:
+    """Refuse sizes (lengths or array shapes) that differ; the one home of this rule."""
+    if size != other_size:
+        raise AlphabetMismatchError(
+            f"{what} of size {size} does not match {other} of size {other_size}"
+        )
+
+
 def validate_trajectory(traj: Sequence[int], k: int) -> Trajectory:
-    """Return ``traj`` as a tuple after checking every symbol is < k."""
+    """Return ``traj`` as a tuple after checking every symbol with ``check_symbol``."""
     out = tuple(int(x) for x in traj)
     for x in out:
-        if x < 0 or x >= k:
-            raise AlphabetMismatchError(f"symbol {x} outside alphabet of size {k}")
+        check_symbol(x, k)
     return out
 
 
@@ -202,8 +216,7 @@ def symbol_prob(phi: CategoricalParam, x: int) -> float:
 
     Returns ``NEG_INFINITY`` for a zero-probability symbol.
     """
-    if x < 0 or x >= phi.size:
-        raise AlphabetMismatchError(f"symbol {x} outside alphabet of size {phi.size}")
+    check_symbol(x, phi.size)
     p = phi.probs[x]
     return math.log(p) if p > 0.0 else NEG_INFINITY
 
@@ -236,8 +249,7 @@ def count(traj: Sequence[int], k: int) -> CountVector:
 
 def update(xi: Hyperparameter, x: int) -> Hyperparameter:
     """One observation step of the counter: add a one-hot at symbol x."""
-    if x < 0 or x >= xi.size:
-        raise AlphabetMismatchError(f"symbol {x} outside alphabet of size {xi.size}")
+    check_symbol(x, xi.size)
     alpha = list(xi.alpha)
     alpha[x] = alpha[x] + 1
     return Hyperparameter(tuple(alpha))
@@ -245,10 +257,7 @@ def update(xi: Hyperparameter, x: int) -> Hyperparameter:
 
 def add_counts(xi: Hyperparameter, c: CountVector) -> Hyperparameter:
     """Batch form of ``update``: add a whole count vector at once."""
-    if c.size != xi.size:
-        raise AlphabetMismatchError(
-            f"count vector of size {c.size} does not match hyperparameter of size {xi.size}"
-        )
+    check_size("count vector", c.size, "hyperparameter", xi.size)
     return Hyperparameter(tuple(a + n for a, n in zip(xi.alpha, c.counts)))
 
 
@@ -284,10 +293,7 @@ def count_log_prob(phi: CategoricalParam, c: CountVector) -> float:
     log |c^{-1}(c)| + sum_x c_x log phi_x.  Returns ``NEG_INFINITY`` when a
     positive count sits on a zero-probability symbol.
     """
-    if c.size != phi.size:
-        raise AlphabetMismatchError(
-            f"count vector of size {c.size} does not match parameter of size {phi.size}"
-        )
+    check_size("count vector", c.size, "parameter", phi.size)
     log_p = 0.0
     for n, p in zip(c.counts, phi.probs):
         if n == 0:

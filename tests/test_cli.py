@@ -173,6 +173,17 @@ class TestCurve:
         assert rc == 1
         assert "trajectory" in err
 
+    @pytest.mark.parametrize("flag", ["--quantities=", "--quantities=,"])
+    def test_an_empty_quantity_list_is_refused(self, tmp_path, flag):
+        for argv in (
+            ("curve", "--phi", "0.5,0.5", "--tmax", "3", flag),
+            ("curve", "--config", write_config(tmp_path, {"phi": [0.5, 0.5], "tmax": 3,
+                                                          "quantities": []})),
+        ):
+            rc, out, err = run_cli(*argv)
+            assert (rc, out) == (1, "")
+            assert err.startswith("error: argument --quantities: need one or more of")
+
     def test_usage_errors(self):
         assert run_cli("curve", "--phi", "0.5,0.6", "--tmax", "2")[0] == 1
         assert run_cli("curve", "--phi", "0.5,0.5")[0] == 1  # missing tmax
@@ -479,6 +490,20 @@ class TestConformance:
         rc, _, err = run_cli("conformance", *flags)
         assert rc == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("max_k, max_t", [("3", "13"), ("2", "20"), ("2", "1000000000")])
+    def test_grid_over_the_joint_cap_exits_four_before_any_joint(self, monkeypatch, max_k, max_t):
+        # 3**13 and 2**20 rows are the smallest joints over the cap of 10**6.
+        def no_joint(*args):
+            raise AssertionError("a joint was built before the refusal")
+
+        monkeypatch.setattr(conformance, "build_joint", no_joint)
+        rc, out, err = run_cli("conformance", "--max-k", max_k, "--max-t", max_t)
+        assert (rc, out) == (4, "")
+        assert err == (
+            f"resource cap: the grid's largest joint, k={max_k} and t={max_t}, would enumerate "
+            f"{max_k}**{max_t} trajectories, exceeding the cap of 1000000; reduce max_t\n"
+        )
 
 
 class TestEntryPoint:

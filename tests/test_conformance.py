@@ -14,6 +14,7 @@ from infoclosure import (
     CategoricalParam,
     DomainError,
     Hyperparameter,
+    ResourceCapError,
     ntic,
     one_step_ntic,
     run_conformance,
@@ -28,7 +29,6 @@ class TestRunner:
         assert result.total > 0
         assert result.all_passed
         assert result.failed == 0
-        assert result.warnings == []
 
     def test_quantities_covered(self):
         result = run_conformance(max_k=3, max_t=2)
@@ -41,23 +41,28 @@ class TestRunner:
             "full_past_info_gain_vs_quadrature",
         }
 
-    def test_reduced_grid_on_tight_cap(self, monkeypatch):
+    def test_grid_over_the_joint_cap_is_refused_before_any_joint(self, monkeypatch):
+        # The cap is read at call time: 2**3 rows fit a cap of 8, 2**4 do not.
+        builds = []
+        build = conformance.build_joint
+
+        def counting_build(phi, xi0, t):
+            builds.append(t)
+            return build(phi, xi0, t)
+
         monkeypatch.setattr(oracle, "DEFAULT_JOINT_CAP", 8)
-        result = run_conformance(max_k=2, max_t=4)
-        # t=4 joints exceed the cap and get skipped, one warning per start.
-        assert len(result.warnings) == 5 * len(conformance.XI0_GRIDS[2])
-        assert result.all_passed  # skipping is a warning, not a failure
-        # With two skipped times per data parameter, the warnings still come
-        # in the report's canonical order: data parameter, then time, then start.
-        result = run_conformance(max_k=2, max_t=5)
-        prefixes = [
-            f"skipped k=2 phi={probs} t={t} xi0={xi0}: "
-            for probs in conformance.PHI_GRIDS[2]
-            for t in (4, 5)
-            for xi0 in conformance.XI0_GRIDS[2]
-        ]
-        assert len(result.warnings) == len(prefixes)
-        assert all(w.startswith(p) for w, p in zip(result.warnings, prefixes))
+        monkeypatch.setattr(conformance, "build_joint", counting_build)
+        with pytest.raises(ResourceCapError, match="2\\*\\*4 trajectories"):
+            run_conformance(max_k=2, max_t=4)
+        assert builds == []
+        # At the cap the whole grid runs: every point of every data parameter.
+        result = run_conformance(max_k=2, max_t=3)
+        assert sorted(builds) == sorted([1, 2, 3] * len(conformance.PHI_GRIDS[2]))
+        points = len(conformance.PHI_GRIDS[2]) * 3
+        starts = len(conformance.XI0_GRIDS[2])
+        quadrature = starts * len(conformance.KL_COUNT_GRID)
+        assert result.total == points * (2 * starts + 2) + quadrature
+        assert result.all_passed
 
     def test_zero_tolerance_fails(self, monkeypatch):
         monkeypatch.setattr(conformance, "CLOSURE_TOLERANCE", 0.0)
