@@ -40,6 +40,7 @@ import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -248,6 +249,46 @@ def _echo(args: argparse.Namespace) -> dict:
     return echo
 
 
+#: ``json``'s spellings of the floats whose ``repr`` is not JSON.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value: object, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, without its pure-Python encoder.
+
+    ``indent`` makes ``json`` fall back from its C encoder to a pure-Python
+    one; this writer dispatches on exact type, encodes strings with the C
+    ``encode_basestring_ascii`` and formats numbers as ``json`` does.  Keys
+    must be strings.  Any other scalar goes to ``json.dumps``, which encodes
+    subclasses of str, int and float (numpy's float64, say) and raises
+    ``TypeError`` for the rest.
+    """
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _JSON_NONFINITE.get(text, text)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+    return json.dumps(value)
+
+
 def _render(
     command: str, args: argparse.Namespace, columns: Sequence[str], rows: list[dict]
 ) -> str:
@@ -265,7 +306,7 @@ def _render(
         "columns": list(columns),
         "rows": rows,
     }
-    return json.dumps(document, indent=2) + "\n"
+    return _json(document) + "\n"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -460,7 +501,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         },
         "records": [r.to_json_dict() for r in result.records],
     }
-    _emit(json.dumps(document, indent=2) + "\n", args.out)
+    _emit(_json(document) + "\n", args.out)
     return EXIT_OK if result.all_passed else EXIT_CONFORMANCE
 
 

@@ -12,29 +12,30 @@ the closed forms elsewhere in the package can be machine-checked:
   shortcuts -- the transfer-entropy oracle additionally computes the
   unsimplified conditional information against the whole past and checks
   that the two agree.  For this deterministic counter the two sums group the
-  rows by the same partition, so the check catches a faulty grouping code, or
-  rows that disagree with groups they share, but not a damaged row
-  probability on a table grouped afresh;
+  rows by one shared partition, so the check catches rows that disagree with
+  groups they share, but neither a damaged row probability on a table
+  grouped afresh nor a fault in that partition;
 * the quadrature oracle integrates the Beta-Beta KL divergence numerically,
   with a tanh-sinh rule, to validate the log-gamma/digamma closed form of the
   full-past information gain.
 
-Each marginal groups the table's rows by its own key: the counter state
+Each marginal groups the table's rows by its key: the counter state
 before or after the last observation, the last observation, or a tuple of
-these.  A row's key is one integer code, with a digit of radix t + 1 per
-count of each state it names and a digit of radix K for the last symbol,
-so the grouping is one sort per marginal, and each group's probability is
-one exactly rounded ``math.fsum`` over its members, independent of
-enumeration order.  The per-row sums (full-past
-mutual information, unsimplified transfer entropy) are numpy term arrays,
-each reduced with one ``math.fsum`` as well.
+these.  Any two of the three fix the third, so the four tuple keys group the
+rows alike and share one partition.  A row's key is one integer code, with a
+digit of radix t + 1 per count of each state it names and a digit of radix K
+for the last symbol, so the grouping is one sort per distinct partition, four
+in all, and each group's probability is one exactly rounded ``math.fsum``
+over its members, independent of enumeration order.  The per-row sums
+(full-past mutual information, unsimplified transfer entropy) are numpy term
+arrays, each reduced with one ``math.fsum`` as well.
 
 ``JointTable.marginals`` keys the same groups by the realised counter states
 xi0 + counts, exact rationals built once per group.  Only these labels read
 the start; the groups and the definitional sums do not, so one table per
 (phi, t) serves every start.  Nor do the rows and their groups read phi:
 they depend on the alphabet size K, the support of phi and t alone.  The
-enumeration and the seven sorts form a layout, kept for the last
+enumeration and the four sorts form a layout, kept for the last
 (K, support, t) asked for, and a table sums its own probabilities over the
 layout's groups, so one layout per (K, support, t) serves every phi.
 
@@ -92,6 +93,9 @@ _CODE_LIMIT = 2**62
 
 #: The key of every marginal, as a tuple of row fields: the counter state
 #: after the last observation, the one before it, and the last observation.
+#: The counter is deterministic, state = prev + e_last, so any two of the
+#: three fields fix the third: the last four keys group the rows alike, and
+#: ``_layout`` builds their one partition from (last, state).
 _MARGINAL_KEYS = {
     "p_state": ("state",),
     "p_prev": ("prev",),
@@ -200,8 +204,9 @@ def _layout(k: int, support: tuple[int, ...], t: int) -> _Layout:
         "prev": [(column, radix) for column in _prev_counts(trajs, counts).T],
         "last": [(_last(trajs), k)],
     }
+    shared = _partition(fields["last"] + fields["state"])
     partitions = {
-        name: _partition([column for f in key for column in fields[f]])
+        name: shared if len(key) > 1 else _partition(fields[key[0]])
         for name, key in _MARGINAL_KEYS.items()
     }
     return _Layout(_frozen(trajs), _frozen(counts), types.MappingProxyType(partitions))
@@ -221,7 +226,11 @@ class JointTable:
     stored.  The rows, their counts and their groupings come from a layout
     that tables of the same (K, support, t) share, so ``trajectories`` and
     ``counts`` are read-only; only ``probs`` is the table's own.  The row
-    groupings of the marginals do not depend on phi or on the start.
+    groupings of the marginals do not depend on phi or on the start.  The
+    four marginals keyed by two or three of (state, last, previous state)
+    share one grouping and its group probabilities, so ``marginals()`` lists
+    ``p_state_pair``, ``p_last_prev`` and ``p_triple`` in ascending order of
+    (last, state), like ``p_last_state``.
     """
 
     k: int
@@ -258,15 +267,23 @@ class JointTable:
 
     # -- marginal groupings ------------------------------------------------
     def _ensure_groups(self) -> dict[str, _Grouping]:
-        """Each marginal's group probabilities: one ``math.fsum`` over each group's rows."""
+        """Each marginal's group probabilities: one ``math.fsum`` over each group's rows.
+
+        Marginals that share a partition share its sums, so each distinct
+        partition of the layout is summed once.
+        """
         groups = self._groups
         if groups:
             return groups
+        sums_of: dict[int, np.ndarray] = {}
         for name, part in self._layout.partitions.items():
-            members = self.probs[part.order].tolist()
-            bounds = part.bounds
-            sums = [math.fsum(members[a:b]) for a, b in zip(bounds, bounds[1:])]
-            groups[name] = _Grouping(part.inverse, part.rep, np.array(sums))
+            sums = sums_of.get(id(part))
+            if sums is None:
+                members = self.probs[part.order].tolist()
+                bounds = part.bounds
+                sums = np.array([math.fsum(members[a:b]) for a, b in zip(bounds, bounds[1:])])
+                sums_of[id(part)] = sums
+            groups[name] = _Grouping(part.inverse, part.rep, sums)
         return groups
 
     def marginals(self) -> dict[str, dict]:
@@ -394,11 +411,14 @@ def oracle_transfer_entropy(joint: JointTable) -> float:
 
     The check's reach is limited.  The counter is deterministic: any two of
     (previous state, last observation, state) fix the third, so the triple,
-    (state, previous) and (last, previous) partitions of the rows coincide,
-    and the simplified sum is the whole-past sum with its rows grouped.  The
-    two agree for any row probabilities.  The check catches a faulty grouping
-    code, or rows whose probabilities disagree with groups they share; it
-    cannot catch a damaged row probability on a table grouped afresh.
+    (state, previous) and (last, previous) keys group the rows alike, and
+    the layout builds one partition for them.  The simplified sum is the
+    whole-past sum with its rows grouped, and the two agree for any row
+    probabilities.  The check catches rows whose probabilities disagree with
+    groups they share.  It cannot catch a damaged row probability on a table
+    grouped afresh, nor a fault in the shared partition, which both sums
+    read; the tests check that partition against the keys' row partitions
+    recomputed from the trajectories.
     """
     groups = joint._ensure_groups()
     simplified = _te_simplified(groups)

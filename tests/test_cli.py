@@ -12,7 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infoclosure.cli as cli
 import infoclosure.closure as closure
@@ -504,6 +507,57 @@ class TestConformance:
             f"resource cap: the grid's largest joint, k={max_k} and t={max_t}, would enumerate "
             f"{max_k}**{max_t} trajectories, exceeding the cap of 1000000; reduce max_t\n"
         )
+
+
+JSON_STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", '\\"quoted\\"', "\x00\x08\t\n\x1f\x7f", "é ☃ 𝄞", "\u2028"]),
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),  # nan and ±inf included
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e308, -1e308, math.inf, -math.inf]),
+    JSON_STRINGS,
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    # Both JSON outputs go through one writer that must print the bytes of
+    # ``json.dumps(document, indent=2)``.
+
+    @settings(max_examples=300)
+    @given(JSON_DOCUMENTS)
+    def test_writes_the_bytes_of_json_dumps(self, document):
+        assert cli._json(document) == json.dumps(document, indent=2)
+
+    def test_examples(self):
+        document = {
+            "empty": [{}, [], ""],
+            "nested": {"a": [1, [2, {"b": None}]], "c": True, "d": False},
+            "floats": [math.nan, -0.0, 5e-324, 1e308, -math.inf, np.float64(0.1)],
+            "tuple": (1, "x"),
+            "big": -(10**40),
+            "ünï\"côdé\n": "\x01",
+        }
+        assert cli._json(document) == json.dumps(document, indent=2)
+        assert cli._json({}) == "{}" and cli._json([]) == "[]"
+        with pytest.raises(TypeError):
+            cli._json({"x": object()})
+
+    def test_the_comparison_can_fail(self):
+        # Negative control: an encoder that leaves non-ASCII unescaped differs.
+        document = {"key": ["é"]}
+        assert cli._json(document) != json.dumps(document, indent=2, ensure_ascii=False)
 
 
 class TestEntryPoint:

@@ -423,6 +423,59 @@ class TestMarginals:
         )
 
 
+def row_partition(rows, key):
+    """Indices of ``rows`` grouped by ``key(row)``, as a sorted list of index lists."""
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(key(row), []).append(i)
+    return sorted(groups.values())
+
+
+class TestCoincidingKeys:
+    # The layout builds one partition for the four keys naming two or three of
+    # (state, last, previous state); the d-separation check reads it on both
+    # sides, so only these partitions, recomputed from the trajectories with
+    # Python tuples, can catch a fault in it.
+    KEYS = {
+        "p_state": ("state",),
+        "p_prev": ("prev",),
+        "p_last": ("last",),
+        "p_last_state": ("last", "state"),
+        "p_last_prev": ("last", "prev"),
+        "p_state_pair": ("state", "prev"),
+        "p_triple": ("state", "last", "prev"),
+    }
+
+    @pytest.mark.parametrize("probs", [(0.3, 0.7), (0.2, 0.3, 0.5), (0.5, 0.0, 0.5)])
+    def test_the_four_joint_keys_group_the_rows_alike(self, probs):
+        phi = CategoricalParam(probs)
+        k = len(probs)
+        fields = {
+            "state": lambda row: tuple(row.count(x) for x in range(k)),
+            "prev": lambda row: tuple(row[:-1].count(x) for x in range(k)),
+            "last": lambda row: row[-1],
+        }
+        for t in range(1, 7):
+            joint = build_joint(phi, Hyperparameter((1,) * k), t)
+            rows = joint.trajectories.tolist()
+            expected = {
+                name: row_partition(rows, lambda row, key=key: tuple(fields[f](row) for f in key))
+                for name, key in self.KEYS.items()
+            }
+            shared = expected["p_last_state"]
+            assert expected["p_last_prev"] == shared
+            assert expected["p_state_pair"] == shared
+            assert expected["p_triple"] == shared
+            partitions = joint._layout.partitions
+            assert set(partitions) == set(self.KEYS)
+            for name, part in partitions.items():
+                inverse = part.inverse.tolist()
+                assert row_partition(range(len(rows)), inverse.__getitem__) == expected[name]
+            assert len({id(part) for part in partitions.values()}) == 4
+            groups = joint._ensure_groups()
+            assert len({id(grouping.probs) for grouping in groups.values()}) == 4
+
+
 def oracle_sums(joint):
     """The grid's three oracle sums, as bits (``hex`` tells -0.0 from 0.0)."""
     return [
