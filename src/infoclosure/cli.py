@@ -212,21 +212,18 @@ class _CommandParser(_Parser):
 # ---------------------------------------------------------------------------
 
 
-def _normalize(x: float) -> float:
-    return 0.0 if x == 0.0 else x  # folds -0.0 onto 0.0
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(_normalize(value))
+        return repr(value)
     return str(value)
 
 
 def _to_units(value: float, units: str) -> float:
-    """The one place a value in nats is rescaled for output."""
-    return _normalize(value * _INV_LN2 if units == "bits" else value)
+    """The one place a value in nats is rescaled for output; folds -0.0 onto 0.0."""
+    value = value * _INV_LN2 if units == "bits" else value
+    return 0.0 if value == 0.0 else value
 
 
 def _scale_row(row: dict, units: str) -> dict:

@@ -184,12 +184,11 @@ def run_conformance(max_k: int = 3, max_t: int = 6) -> ConformanceResult:
         raise DomainError("conformance grids are defined for alphabet sizes 2 and 3")
     if max_t < 1:
         raise DomainError(f"need max_t >= 1, got {max_t}")
-    cap = oracle.DEFAULT_JOINT_CAP
-    # max_k ** cap.bit_length() > cap already, so a huge max_t needs no huge power.
-    if max_k ** min(max_t, cap.bit_length()) > cap:
+    if oracle.exceeds_joint_cap(max_k, max_t):
         raise ResourceCapError(
             f"the grid's largest joint, k={max_k} and t={max_t}, would enumerate "
-            f"{max_k}**{max_t} trajectories, exceeding the cap of {cap}; reduce max_t"
+            f"{max_k}**{max_t} trajectories, exceeding the cap of "
+            f"{oracle.DEFAULT_JOINT_CAP}; reduce max_t"
         )
 
     records: list[ConformanceRecord] = []

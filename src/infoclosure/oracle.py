@@ -30,10 +30,11 @@ over its members, independent of enumeration order.  The per-row sums
 (full-past mutual information, unsimplified transfer entropy) are numpy term
 arrays, each reduced with one ``math.fsum`` as well.
 
-``JointTable.marginals`` keys the same groups by the realised counter states
-xi0 + counts, exact rationals built once per group.  Only these labels read
-the start; the groups and the definitional sums do not, so one table per
-(phi, t) serves every start.  Nor do the rows and their groups read phi:
+A counter state is the start xi0 plus the counts, a one-to-one relabelling,
+so the groups need no state labels, and neither they nor the definitional
+sums read the start: one table per (phi, t) serves every start.  The
+pointwise oracle reads each marginal at the group of the trajectory's own
+row.  Nor do the rows and their groups read phi:
 they depend on the alphabet size K, the support of phi and t alone.  The
 enumeration and the four sorts form a layout, kept for the last
 (K, support, t) asked for, and a table sums its own probabilities over the
@@ -63,9 +64,7 @@ from .errors import (
 )
 from .process import (
     CategoricalParam,
-    CountVector,
     Hyperparameter,
-    add_counts,
     check_size,
     check_symbol,
     count,
@@ -74,6 +73,9 @@ from .process import (
 
 #: Most trajectories ``build_joint`` may enumerate.
 DEFAULT_JOINT_CAP = 10**6
+
+#: Largest count the layout's int16 counts hold, so the longest trajectory ``build_joint`` takes.
+_MAX_COUNT = int(np.iinfo(np.int16).max)
 
 #: Tolerance of the internal d-separation consistency check.
 _DSEP_TOL = 1e-10
@@ -223,24 +225,21 @@ class JointTable:
 
     Rows enumerate every nonzero-probability trajectory of length t; both
     counter states are uniquely determined per row, so only the trajectory is
-    stored.  The rows, their counts and their groupings come from a layout
-    that tables of the same (K, support, t) share, so ``trajectories`` and
-    ``counts`` are read-only; only ``probs`` is the table's own.  The row
-    groupings of the marginals do not depend on phi or on the start.  The
-    four marginals keyed by two or three of (state, last, previous state)
-    share one grouping and its group probabilities, so ``marginals()`` lists
-    ``p_state_pair``, ``p_last_prev`` and ``p_triple`` in ascending order of
-    (last, state), like ``p_last_state``.
+    stored, in lexicographic order of the trajectories over phi's support.
+    The rows, their counts and their groupings come from a layout that
+    tables of the same (K, support, t) share, so ``trajectories`` and
+    ``counts`` are read-only; only ``probs`` is the table's own.  The table
+    holds no start: the row groupings of the marginals depend on neither phi
+    nor the start.  The four marginals keyed by two or three of (state,
+    last, previous state) share one grouping and its group probabilities.
     """
 
     k: int
     t: int
     phi: CategoricalParam
-    xi0: Hyperparameter
     probs: np.ndarray  # (n,) float
     _layout: _Layout = field(repr=False)
     _groups: dict = field(default_factory=dict, repr=False)
-    _marginals: dict | None = field(default=None, repr=False)
 
     @property
     def trajectories(self) -> np.ndarray:
@@ -286,62 +285,45 @@ class JointTable:
             groups[name] = _Grouping(part.inverse, part.rep, sums)
         return groups
 
-    def marginals(self) -> dict[str, dict]:
-        """Every marginal of the table, keyed by realised counter states.
 
-        A state key is the exact rational vector xi0 + counts (the ``alpha``
-        of a ``Hyperparameter``), built once per group; the last observation
-        is keyed by its symbol, and joint keys are tuples in the order of
-        ``_MARGINAL_KEYS``.
-        """
-        if self._marginals is not None:
-            return self._marginals
-        groups = self._ensure_groups()
-        state, prev = groups["p_state"], groups["p_prev"]
-        last = _last(self.trajectories).tolist()
-        prev_counts = _prev_counts(self.trajectories, self.counts)
+def exceeds_joint_cap(m: int, t: int) -> bool:
+    """Whether m**t trajectories exceed ``DEFAULT_JOINT_CAP``, read at call time.
 
-        def realised(rows: np.ndarray) -> list[tuple]:
-            return [add_counts(self.xi0, CountVector(row)).alpha for row in rows.tolist()]
-
-        state_names = realised(self.counts[state.rep])
-        prev_names = realised(prev_counts[prev.rep])
-        labels = {
-            "state": lambda r: state_names[state.inverse[r]],
-            "prev": lambda r: prev_names[prev.inverse[r]],
-            "last": lambda r: last[r],
-        }
-        self._marginals = {}
-        for name, key in _MARGINAL_KEYS.items():
-            grouping = groups[name]
-            table = {}
-            for row, p in zip(grouping.rep.tolist(), grouping.probs.tolist()):
-                parts = tuple(labels[f](row) for f in key)
-                table[parts if len(parts) > 1 else parts[0]] = p
-            self._marginals[name] = table
-        return self._marginals
+    m**cap.bit_length() > cap for m >= 2, so a huge t needs no huge power.
+    """
+    cap = DEFAULT_JOINT_CAP
+    return m ** min(t, cap.bit_length()) > cap
 
 
 def build_joint(phi: CategoricalParam, xi0: Hyperparameter, t: int) -> JointTable:
     """Enumerate all nonzero-probability trajectories of length t >= 1.
 
-    Raises ``AlphabetMismatchError`` when xi0 and phi differ in size,
-    ``ResourceCapError`` when the enumeration would exceed
-    ``DEFAULT_JOINT_CAP`` trajectories, ``DomainError`` when a trajectory's
-    probability underflows to 0, and ``InternalConsistencyError`` if the
-    resulting probabilities fail to sum to 1 within 1e-12.
+    The table does not depend on the start xi0, which is checked for size
+    only.  Raises ``AlphabetMismatchError`` when xi0 and phi differ in size
+    and ``ResourceCapError``, before anything is allocated, when the
+    enumeration would exceed ``DEFAULT_JOINT_CAP`` trajectories or t exceeds
+    the largest count the int16 counts hold.  Raises ``DomainError`` when a
+    trajectory's probability underflows to 0, and
+    ``InternalConsistencyError`` if the probabilities fail to sum to 1
+    within 1e-12.
     """
     check_size("hyperparameter", xi0.size, "parameter", phi.size)
     if t < 1:
         raise DomainError(f"the joint is defined for t >= 1, got {t}")
     support = phi.support
-    n = len(support) ** t
-    if n > DEFAULT_JOINT_CAP:
+    m = len(support)
+    if exceeds_joint_cap(m, t):
         raise ResourceCapError(
-            f"joint table for t={t} would enumerate {n} trajectories, exceeding "
+            f"joint table for t={t} would enumerate {m}**{t} trajectories, exceeding "
             f"the cap of {DEFAULT_JOINT_CAP}; reduce t"
         )
+    if t > _MAX_COUNT:
+        raise ResourceCapError(
+            f"joint table for t={t} would count past {_MAX_COUNT}, the most its "
+            f"int16 counts hold; reduce t"
+        )
 
+    n = m**t
     layout = _layout(phi.size, support, t)
     probs = np.ones(n, dtype=float)
     for x in support:
@@ -356,7 +338,7 @@ def build_joint(phi: CategoricalParam, xi0: Hyperparameter, t: int) -> JointTabl
         raise InternalConsistencyError(
             f"joint probabilities sum to {total!r}, off from 1 by more than 1e-12"
         )
-    return JointTable(k=phi.size, t=t, phi=phi, xi0=xi0, probs=probs, _layout=layout)
+    return JointTable(k=phi.size, t=t, phi=phi, probs=probs, _layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +422,36 @@ def oracle_ntic(phi: CategoricalParam, xi0: Hyperparameter, t: int, mode: Mode) 
 def oracle_pointwise_ntic(joint: JointTable, traj: Sequence[int], mode: Mode) -> float:
     """Pointwise closure of one trajectory from the joint's marginals.
 
-    Definitional log-ratios only; no closed-form shortcuts.  The marginals
-    are looked up by the realised counter states of the trajectory.
+    Definitional log-ratios only; no closed-form shortcuts.  Each marginal
+    is read at the group of the trajectory's own row, whose index is the
+    trajectory's rank in base ``len(phi.support)``: the rows enumerate the
+    trajectories in that order.
     """
     traj = validate_trajectory(traj, joint.k)
     p_traj = joint.prob(traj)  # refuses a length other than the table's
     if p_traj == 0.0:
         raise DomainError("trajectory has zero probability under the table's parameter")
-    marginals = joint.marginals()
-    state = add_counts(joint.xi0, count(traj, joint.k)).alpha
-    prev = add_counts(joint.xi0, count(traj[:-1], joint.k)).alpha
-    x = traj[-1]
+    support = joint.phi.support
+    row = 0
+    for x in traj:
+        row = row * len(support) + support.index(x)
+    groups = joint._ensure_groups()
+
+    def marginal(name: str) -> float:
+        return float(_at(groups[name], row))
 
     if mode == "full_past":
         # log p(state | whole past) - log p(state)
         p_state_given_past = p_traj / p_traj  # state is determined by the past
-        mi_pw = math.log(p_state_given_past) - math.log(marginals["p_state"][state])
+        mi_pw = math.log(p_state_given_past) - math.log(marginal("p_state"))
     elif mode == "one_step":
-        p_state_given_last = marginals["p_last_state"][(x, state)] / marginals["p_last"][x]
-        mi_pw = math.log(p_state_given_last) - math.log(marginals["p_state"][state])
+        p_state_given_last = marginal("p_last_state") / marginal("p_last")
+        mi_pw = math.log(p_state_given_last) - math.log(marginal("p_state"))
     else:
         raise DomainError(f"unknown mode {mode!r}, expected 'full_past' or 'one_step'")
 
-    p_last_given_both = marginals["p_triple"][(state, x, prev)] / marginals["p_state_pair"][(state, prev)]
-    p_last_given_prev = marginals["p_last_prev"][(x, prev)] / marginals["p_prev"][prev]
+    p_last_given_both = marginal("p_triple") / marginal("p_state_pair")
+    p_last_given_prev = marginal("p_last_prev") / marginal("p_prev")
     te_pw = math.log(p_last_given_both) - math.log(p_last_given_prev)
     return mi_pw - te_pw
 

@@ -293,6 +293,28 @@ class TestTrajectory:
         assert rc == 1
         assert "alphabet" in err
 
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_prints_as_zero(self, monkeypatch, units, fmt):
+        # At t = 1 the hindsight empirical surprise is -log(1/1) = -0.0.
+        seen = []
+        scale_row = cli._scale_row
+        monkeypatch.setattr(
+            cli, "_scale_row", lambda row, units: seen.append(row) or scale_row(row, units)
+        )
+        rc, out, _ = run_cli(
+            "trajectory", "--traj", "0,1", "--xi0", "1,1", "--units", units, "--format", fmt
+        )
+        assert rc == 0
+        before = seen[0]["hindsight_empirical_surprise"]
+        assert before == 0.0 and math.copysign(1.0, before) == -1.0
+        if fmt == "csv":
+            header, rows = parse_csv(out)
+            assert dict(zip(header, rows[0]))["hindsight_empirical_surprise"] == "0.0"
+        else:
+            assert re.search(r'"hindsight_empirical_surprise": 0\.0,', out)
+        assert "-0.0" not in out
+
 
 class TestFlags:
     @pytest.mark.parametrize(

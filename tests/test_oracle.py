@@ -9,6 +9,7 @@ its reach, and quadrature against exact special values and against mpmath at
 
 import dataclasses
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -68,8 +69,34 @@ class TestBuildJoint:
 
     def test_cap(self):
         # 2**30 trajectories, over the cap of 10**6; refused before any array is built.
-        with pytest.raises(ResourceCapError, match="1073741824 trajectories"):
+        with pytest.raises(ResourceCapError, match=r"2\*\*30 trajectories"):
             build_joint(UNIFORM2, XI_FLAT2, 30)
+
+    @pytest.mark.parametrize(
+        "probs,t,match",
+        [
+            # 2**20000 has too many digits to print in decimal.
+            ((0.5, 0.5), 20000, r"2\*\*20000 trajectories"),
+            # One row, but its counts would pass the int16 range and wrap.
+            ((1.0, 0.0), 40000, "int16"),
+            ((1.0, 0.0), 10**6, "int16"),
+            ((1.0, 0.0), 10**7, "int16"),
+        ],
+    )
+    def test_long_t_is_refused_up_front(self, monkeypatch, probs, t, match):
+        layouts = []
+        monkeypatch.setattr(oracle, "_layout", lambda *key: layouts.append(key))
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=match):
+            oracle_ntic(CategoricalParam(probs), XI_FLAT2, t, "full_past")
+        assert time.perf_counter() - start < 1.0
+        assert layouts == []
+
+    def test_longest_t_counts_without_wrapping(self):
+        t = np.iinfo(np.int16).max
+        joint = build_joint(CategoricalParam((1.0, 0.0)), XI_FLAT2, t)
+        assert joint.counts.tolist() == [[t, 0]]
+        assert oracle_ntic(CategoricalParam((1.0, 0.0)), XI_FLAT2, t, "full_past") == 0.0
 
     def test_checks_sizes(self):
         with pytest.raises(DomainError):
@@ -81,20 +108,19 @@ class TestBuildJoint:
 
     def test_entries_kernel_consistency(self):
         # Every (state, last, previous state) group's state must be the
-        # previous state plus a one-hot of the last symbol, and states derive
-        # from the start plus the counts of t and t - 1 symbols.
-        xi0 = Hyperparameter((0.5, 2))
-        joint = build_joint(CategoricalParam((0.3, 0.7)), xi0, 3)
-        triples = joint.marginals()["p_triple"]
-        for xi_t, last, xi_prev in triples:
-            diff = [after - before for after, before in zip(xi_t, xi_prev)]
+        # previous state plus a one-hot of the last symbol, with the
+        # previous state counted afresh from the first t - 1 symbols.
+        joint = build_joint(CategoricalParam((0.3, 0.7)), Hyperparameter((0.5, 2)), 3)
+        triple = joint._ensure_groups()["p_triple"]
+        for rep in triple.rep.tolist():
+            traj = joint.trajectories[rep].tolist()
+            prev = count(traj[:-1], joint.k).counts
+            diff = [after - before for after, before in zip(joint.counts[rep].tolist(), prev)]
             expected = [0] * joint.k
-            expected[last] = 1
+            expected[traj[-1]] = 1
             assert diff == expected
-            assert sum(xi_t) - xi0.total == joint.t
-            assert all((a - a0).denominator == 1 for a, a0 in zip(xi_prev, xi0.alpha))
-        assert len(triples) == 6  # (count of symbol 0 in the first 2, last symbol)
-        assert math.fsum(triples.values()) == pytest.approx(1.0, abs=1e-12)
+        assert len(triple.rep) == 6  # (count of symbol 0 in the first 2, last symbol)
+        assert math.fsum(triple.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_underflowing_row_is_refused(self):
         # 1e-200 squared underflows to 0, which no definitional log-ratio takes.
@@ -383,44 +409,103 @@ class TestMarginals:
                 assert len({oracle_mutual_information(j, mode).hex() for j in joints}) == 1
             assert len({oracle_transfer_entropy(j).hex() for j in joints}) == 1
 
-    @pytest.mark.parametrize("xi0", [(1, 1, 1), (0.5, 2, 2), (10, 1, 1)])
-    def test_keys_are_realised_states(self, xi0):
-        xi0 = Hyperparameter(xi0)
-        joint = build_joint(CategoricalParam((0.2, 0.3, 0.5)), xi0, 3)
-        marginals = joint.marginals()
-        states, prevs, triples = set(), set(), set()
-        for row in joint.trajectories.tolist():
-            x = row[-1]
-            state = add_counts(xi0, count(row, 3)).alpha
-            prev = add_counts(xi0, count(row[:-1], 3)).alpha
-            states.add(state)
-            prevs.add(prev)
-            triples.add((state, x, prev))
-        assert set(marginals["p_state"]) == states
-        assert set(marginals["p_prev"]) == prevs
-        assert set(marginals["p_last"]) == {0, 1, 2}
-        assert set(marginals["p_triple"]) == triples
-        assert set(marginals["p_last_state"]) == {(x, s) for s, x, _ in triples}
-        assert set(marginals["p_last_prev"]) == {(x, p) for _, x, p in triples}
-        assert set(marginals["p_state_pair"]) == {(s, p) for s, _, p in triples}
-        for table in marginals.values():
-            assert math.fsum(table.values()) == pytest.approx(1.0, abs=1e-12)
-        # The state probability of a count vector, under its realised label.
-        c = CountVector((1, 1, 1))
-        assert marginals["p_state"][add_counts(xi0, c).alpha] == pytest.approx(6 * 0.2 * 0.3 * 0.5)
-
     def test_long_keys_are_reranked(self):
         # 50 symbols at t=2: a mixed-radix code of radix 3 reaches 2 * 3^49,
         # far beyond 64 bits.
         phi = CategoricalParam((1 / 50,) * 50)
         joint = build_joint(phi, Hyperparameter((1,) * 50), 2)
-        states = list(joint.marginals()["p_state"])
+        state = joint._ensure_groups()["p_state"]
+        states = [tuple(c) for c in joint.counts[state.rep].tolist()]
         assert len(states) == 50 * 51 // 2
         # Groups come in ascending key order, which a wrapped code would scramble.
-        assert states == sorted(states)
+        assert states == sorted(set(states))
         assert oracle_mutual_information(joint, "full_past") == pytest.approx(
             count_entropy(phi, 2), abs=1e-12
         )
+
+
+#: Each marginal's key, as a tuple of the fields (state, previous state, last
+#: observation) of a row.
+MARGINAL_KEYS = {
+    "p_state": ("state",),
+    "p_prev": ("prev",),
+    "p_last": ("last",),
+    "p_last_state": ("last", "state"),
+    "p_last_prev": ("last", "prev"),
+    "p_state_pair": ("state", "prev"),
+    "p_triple": ("state", "last", "prev"),
+}
+
+
+def labelled_marginals(joint, xi0):
+    """Every marginal of ``joint``, recomputed from its trajectories as dicts.
+
+    States are keyed by their realised values xi0 + counts, as exact
+    rationals; the last observation by its symbol; joint keys by tuples in
+    the order of ``MARGINAL_KEYS``.  Each group's probability is one
+    ``math.fsum`` over its rows.
+    """
+    members = {name: {} for name in MARGINAL_KEYS}
+    for traj, p in zip(joint.trajectories.tolist(), joint.probs.tolist()):
+        fields = {
+            "state": add_counts(xi0, count(traj, joint.k)).alpha,
+            "prev": add_counts(xi0, count(traj[:-1], joint.k)).alpha,
+            "last": traj[-1],
+        }
+        for name, key in MARGINAL_KEYS.items():
+            label = tuple(fields[f] for f in key)
+            members[name].setdefault(label if len(label) > 1 else label[0], []).append(p)
+    return {
+        name: {label: math.fsum(ps) for label, ps in table.items()}
+        for name, table in members.items()
+    }
+
+
+def labelled_pointwise(marginals, xi0, traj, p_traj, mode):
+    """Pointwise closure of ``traj`` as definitional log-ratios of ``labelled_marginals``."""
+    k = xi0.size
+    state = add_counts(xi0, count(traj, k)).alpha
+    prev = add_counts(xi0, count(traj[:-1], k)).alpha
+    x = traj[-1]
+    if mode == "full_past":
+        mi_pw = math.log(p_traj / p_traj) - math.log(marginals["p_state"][state])
+    else:
+        p_state_given_last = marginals["p_last_state"][(x, state)] / marginals["p_last"][x]
+        mi_pw = math.log(p_state_given_last) - math.log(marginals["p_state"][state])
+    p_last_given_both = marginals["p_triple"][(state, x, prev)] / marginals["p_state_pair"][(state, prev)]
+    p_last_given_prev = marginals["p_last_prev"][(x, prev)] / marginals["p_prev"][prev]
+    return mi_pw - (math.log(p_last_given_both) - math.log(p_last_given_prev))
+
+
+class TestLabelledReference:
+    # The pointwise oracle reads each marginal at the group of the
+    # trajectory's row; the same log-ratios over marginals keyed by realised
+    # states and recomputed from the trajectories must give the same bits.
+
+    @pytest.mark.parametrize(
+        "probs", [(0.3, 0.7), (0.2, 0.3, 0.5), (0.1, 0.2, 0.3, 0.4), (0.5, 0.0, 0.5)]
+    )
+    def test_pointwise_oracle_matches_the_labelled_marginals(self, probs):
+        phi = CategoricalParam(probs)
+        k = len(probs)
+        for xi0 in (Hyperparameter((1,) * k), Hyperparameter((0.5,) + (2,) * (k - 1))):
+            for t in range(1, 5):
+                joint = build_joint(phi, xi0, t)
+                marginals = labelled_marginals(joint, xi0)
+                for traj in joint.trajectories.tolist():
+                    p_traj = joint.prob(traj)
+                    for mode in ("full_past", "one_step"):
+                        expected = labelled_pointwise(marginals, xi0, traj, p_traj, mode)
+                        assert oracle_pointwise_ntic(joint, traj, mode).hex() == expected.hex()
+
+    def test_a_state_probability_under_its_realised_label(self):
+        xi0 = Hyperparameter((0.5, 2, 2))
+        joint = build_joint(CategoricalParam((0.2, 0.3, 0.5)), xi0, 3)
+        marginals = labelled_marginals(joint, xi0)
+        for table in marginals.values():
+            assert math.fsum(table.values()) == pytest.approx(1.0, abs=1e-12)
+        state = add_counts(xi0, CountVector((1, 1, 1))).alpha
+        assert marginals["p_state"][state] == pytest.approx(6 * 0.2 * 0.3 * 0.5)
 
 
 def row_partition(rows, key):
@@ -436,15 +521,6 @@ class TestCoincidingKeys:
     # (state, last, previous state); the d-separation check reads it on both
     # sides, so only these partitions, recomputed from the trajectories with
     # Python tuples, can catch a fault in it.
-    KEYS = {
-        "p_state": ("state",),
-        "p_prev": ("prev",),
-        "p_last": ("last",),
-        "p_last_state": ("last", "state"),
-        "p_last_prev": ("last", "prev"),
-        "p_state_pair": ("state", "prev"),
-        "p_triple": ("state", "last", "prev"),
-    }
 
     @pytest.mark.parametrize("probs", [(0.3, 0.7), (0.2, 0.3, 0.5), (0.5, 0.0, 0.5)])
     def test_the_four_joint_keys_group_the_rows_alike(self, probs):
@@ -460,14 +536,14 @@ class TestCoincidingKeys:
             rows = joint.trajectories.tolist()
             expected = {
                 name: row_partition(rows, lambda row, key=key: tuple(fields[f](row) for f in key))
-                for name, key in self.KEYS.items()
+                for name, key in MARGINAL_KEYS.items()
             }
             shared = expected["p_last_state"]
             assert expected["p_last_prev"] == shared
             assert expected["p_state_pair"] == shared
             assert expected["p_triple"] == shared
             partitions = joint._layout.partitions
-            assert set(partitions) == set(self.KEYS)
+            assert set(partitions) == set(MARGINAL_KEYS)
             for name, part in partitions.items():
                 inverse = part.inverse.tolist()
                 assert row_partition(range(len(rows)), inverse.__getitem__) == expected[name]
@@ -538,4 +614,10 @@ class TestSharedLayout:
         assert oracle_sums(again) == sums
         assert again.trajectories.tolist() == first.trajectories.tolist()
         assert again.probs.tolist() == first.probs.tolist()
-        assert first.marginals() == again.marginals()
+        groups, regrouped = first._ensure_groups(), again._ensure_groups()
+        assert set(regrouped) == set(groups)
+        for name, grouping in groups.items():
+            assert regrouped[name].inverse.tolist() == grouping.inverse.tolist()
+            assert [p.hex() for p in regrouped[name].probs.tolist()] == [
+                p.hex() for p in grouping.probs.tolist()
+            ]
