@@ -43,14 +43,14 @@ from typing import Sequence
 import numpy as np
 
 from .closure import one_step_pointwise_ntic
-from .errors import DomainError, InternalConsistencyError, WitnessFailedError
+from .errors import InternalConsistencyError, WitnessFailedError
 from .process import (
     CountVector,
     Hyperparameter,
+    check_at_least,
     check_size,
     check_symbol,
     count,
-    validate_trajectory,
 )
 from .special import digamma, log_gamma, shifted, shifted_column
 
@@ -165,9 +165,8 @@ def one_step_info_gain_from_count(xi0: Hyperparameter, c: CountVector, x: int) -
     """
     check_symbol(x, xi0.size)
     check_size("count vector", c.size, "hyperparameter", xi0.size)
-    n, t = c.counts[x], c.total
-    if n < 1:
-        raise DomainError(f"the last symbol {x} must occur in the counts, got {c.counts}")
+    n = check_at_least("the last symbol's count", c.counts[x], 1)
+    t = c.total
     nums, den = xi0.over_common_denominator
     num, total = nums[x], sum(nums)
     # Marginal surprise of x at the counts before it, c - e_x; the numerator
@@ -187,8 +186,7 @@ def belief_tables(xi0: Hyperparameter, t: int) -> tuple[np.ndarray, np.ndarray]:
     prior and that of the total from at most one call, so a row makes at
     most K * t + 1 digamma calls and an ascending sweep to T O(K * T) in all.
     """
-    if t < 1:
-        raise DomainError(f"need t >= 1, got {t}")
+    t = check_at_least("t", t, 1)
     nums, den = xi0.over_common_denominator
     total = sum(nums)
     post_total = total + t * den
@@ -214,10 +212,9 @@ def one_step_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> float:
     Digamma closed form: ``marginal_surprise(xi0, traj[:-1], traj[-1])`` minus
     the expected hindsight surprise -(psi(a_x + c_x) - psi(|xi0| + t)).
     """
-    traj = validate_trajectory(traj, xi0.size)
-    if len(traj) < 1:
-        raise DomainError("one-step information gain needs a nonempty trajectory")
-    return one_step_info_gain_from_count(xi0, count(traj, xi0.size), traj[-1])
+    c = count(traj, xi0.size)
+    check_at_least("trajectory length", c.total, 1)
+    return one_step_info_gain_from_count(xi0, c, traj[-1])
 
 
 def full_past_info_gain_from_count(xi0: Hyperparameter, c: CountVector) -> float:
@@ -262,16 +259,17 @@ def ntic_ig_divergence_witness(
     ``WITNESS_GAP`` (pick different priors in that case).
     """
     check_size("prior B", xi0_b.size, "prior A", xi0_a.size)
-    traj = validate_trajectory(traj, xi0_a.size)
-    if len(traj) < 1:
-        raise DomainError("the witness needs a nonempty trajectory")
+    c = count(traj, xi0_a.size)
+    t = check_at_least("trajectory length", c.total, 1)
     if xi0_a.alpha == xi0_b.alpha:
         raise WitnessFailedError(
             "identical priors cannot witness divergence; pick two different priors"
         )
-    shared = one_step_pointwise_ntic(traj)
-    gain_a = one_step_info_gain(xi0_a, traj)
-    gain_b = one_step_info_gain(xi0_b, traj)
+    last = traj[-1]
+    # ``one_step_pointwise_ntic(traj)`` and ``one_step_info_gain`` from one count.
+    shared = math.log(c.counts[last] / t)
+    gain_a = one_step_info_gain_from_count(xi0_a, c, last)
+    gain_b = one_step_info_gain_from_count(xi0_b, c, last)
     if abs(gain_a - gain_b) <= WITNESS_GAP:
         raise WitnessFailedError(
             f"one-step gains coincide within {WITNESS_GAP} for these priors "

@@ -380,9 +380,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if ("info_gain" in quantities or "surprise" in quantities) and args.xi0 is None:
         raise UsageError("quantities info_gain and surprise need xi0")
 
-    # Row t is exact while last_count_weights can build its K * (t + 1) table;
-    # the cap is read at call time, so one patch moves both.
-    first_mc = max(1, closure.TABLE_TERM_CAP // phi.size)
+    # Row t is exact while last_count_weights can build its K * (t + 1) table.
+    first_mc = closure.first_capped_row(phi.size)
     if first_mc <= t_max:
         if args.seed < 0:
             raise UsageError(f"invalid seed: Monte Carlo rows need seed >= 0, got {args.seed}")

@@ -52,6 +52,7 @@ from .process import (
     NEG_INFINITY,
     CategoricalParam,
     CountVector,
+    check_at_least,
     check_size,
     count,
     count_log_prob,
@@ -67,8 +68,13 @@ DEFAULT_COUNT_CAP = 10**7
 
 #: Most entries, K * (t + 1), one ``last_count_weights`` table may hold: 32 MB
 #: of float64.  It is also ``curve``'s switch: row t is exact while its table
-#: fits, so the first Monte Carlo row is ``TABLE_TERM_CAP // K``.
+#: fits, so the first Monte Carlo row is ``first_capped_row(K)``.
 TABLE_TERM_CAP = 4 * 10**6
+
+
+def first_capped_row(k: int) -> int:
+    """The least t >= 1 whose k * (t + 1) table exceeds ``TABLE_TERM_CAP``, read at call time."""
+    return max(1, TABLE_TERM_CAP // k)
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +101,11 @@ def last_count_weights(phi: CategoricalParam, t: int) -> np.ndarray:
     Raises ``ResourceCapError``, before anything is allocated, when the
     table would hold more than ``TABLE_TERM_CAP`` entries.
     """
-    if t < 1:
-        raise DomainError(f"need t >= 1, got {t}")
-    size = phi.size * (t + 1)
-    if size > TABLE_TERM_CAP:
+    t = check_at_least("t", t, 1)
+    if t >= first_capped_row(phi.size):
         raise ResourceCapError(
-            f"the last-count table for k={phi.size}, t={t} has {size} entries, "
-            f"exceeding the cap of {TABLE_TERM_CAP}; ask for a smaller t"
+            f"the last-count table for k={phi.size}, t={t} has {phi.size * (t + 1)} "
+            f"entries, exceeding the cap of {TABLE_TERM_CAP}; ask for a smaller t"
         )
     weights = np.zeros((phi.size, t + 1))
     if 1.0 in phi.probs:
@@ -190,8 +194,7 @@ def count_last_distribution(
     ``ResourceCapError``, on the first ``next()``, when the count space holds
     more than ``DEFAULT_COUNT_CAP`` vectors.
     """
-    if t < 1:
-        raise DomainError(f"need t >= 1, got {t}")
+    t = check_at_least("t", t, 1)
     size = count_space_size(phi.size, t)
     if size > DEFAULT_COUNT_CAP:
         raise ResourceCapError(
@@ -223,9 +226,7 @@ def count_entropy(phi: CategoricalParam, t: int) -> float:
 
     ``count_entropy_from_weights`` over ``last_count_weights(phi, t)``.
     """
-    if t < 0:
-        raise DomainError(f"time index must be >= 0, got {t}")
-    if t == 0:
+    if check_at_least("t", t, 0) == 0:
         return 0.0  # the empty trajectory's count is certain
     return count_entropy_from_weights(phi, last_count_weights(phi, t))
 
@@ -239,12 +240,11 @@ def ntic(phi: CategoricalParam, t: int) -> float:
     """Expected full-past closure at time t >= 1 (nats).
 
     ``count_entropy(phi, t) - symbol_entropy(phi)``: the mutual-information
-    term minus the transfer-entropy term.  The counter start never enters, so
-    the result is independent of it by construction.
+    term minus the transfer-entropy term, from one ``last_count_weights``
+    table, which refuses t < 1.  The counter start never enters, so the
+    result is independent of it by construction.
     """
-    if t < 1:
-        raise DomainError(f"closure is defined for t >= 1, got {t}")
-    return count_entropy(phi, t) - symbol_entropy(phi)
+    return count_entropy_from_weights(phi, last_count_weights(phi, t)) - symbol_entropy(phi)
 
 
 def pointwise_ntic_from_count(phi: CategoricalParam, c: CountVector, x: int) -> float:
@@ -255,8 +255,7 @@ def pointwise_ntic_from_count(phi: CategoricalParam, c: CountVector, x: int) -> 
     """
     lp_count = count_log_prob(phi, c)
     lp_last = symbol_prob(phi, x)
-    if c.counts[x] < 1:
-        raise DomainError(f"the last symbol {x} must occur in the counts, got {c.counts}")
+    check_at_least("the last symbol's count", c.counts[x], 1)
     if lp_last == NEG_INFINITY or lp_count == NEG_INFINITY:
         raise DomainError("trajectory has zero probability under the given parameter")
     return lp_last - lp_count
@@ -268,10 +267,9 @@ def pointwise_ntic(phi: CategoricalParam, traj: Sequence[int]) -> float:
     Equals log p(last symbol) - log p(count of the trajectory).  The
     trajectory must have nonzero probability under ``phi``.
     """
-    traj = validate_trajectory(traj, phi.size)
-    if len(traj) < 1:
-        raise DomainError("pointwise closure needs a nonempty trajectory")
-    return pointwise_ntic_from_count(phi, count(traj, phi.size), traj[-1])
+    c = count(traj, phi.size)
+    check_at_least("trajectory length", c.total, 1)
+    return pointwise_ntic_from_count(phi, c, traj[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +282,12 @@ def one_step_pointwise_ntic(traj: Sequence[int]) -> float:
 
     Depends only on the trajectory itself: neither the data parameter nor the
     counter start appear.  Always <= 0, with equality iff the trajectory is
-    constant.
+    constant.  Symbols are read only through equality, so any integer >= 0
+    is one: the alphabet is unbounded.
     """
-    traj = tuple(int(x) for x in traj)
-    if len(traj) < 1:
-        raise DomainError("one-step pointwise closure needs a nonempty trajectory")
-    return math.log(traj.count(traj[-1]) / len(traj))
+    traj = validate_trajectory(traj, math.inf)
+    t = check_at_least("trajectory length", len(traj), 1)
+    return math.log(traj.count(traj[-1]) / t)
 
 
 def one_step_ntic(phi: CategoricalParam, t: int) -> float:
@@ -300,6 +298,4 @@ def one_step_ntic(phi: CategoricalParam, t: int) -> float:
     symbol x and c_x: ``one_step_ntic_from_weights`` over
     ``last_count_weights(phi, t)``.
     """
-    if t < 1:
-        raise DomainError(f"closure is defined for t >= 1, got {t}")
     return one_step_ntic_from_weights(last_count_weights(phi, t))

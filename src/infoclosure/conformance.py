@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .bayes import full_past_info_gain
+from .bayes import full_past_info_gain_from_count
 from .closure import (
     count_entropy_from_weights,
     last_count_weights,
@@ -32,7 +32,7 @@ from .oracle import (
     oracle_mutual_information,
     oracle_transfer_entropy,
 )
-from .process import CategoricalParam, CountVector, Hyperparameter, add_counts
+from .process import CategoricalParam, CountVector, Hyperparameter, add_counts, check_at_least
 
 #: Five-point data-parameter grids per alphabet size.
 PHI_GRIDS: dict[int, tuple[tuple[float, ...], ...]] = {
@@ -161,8 +161,7 @@ def _info_gain_records() -> list[ConformanceRecord]:
         xi0 = Hyperparameter(xi0_values)
         for counts in KL_COUNT_GRID:
             c = CountVector(counts)
-            traj = (0,) * counts[0] + (1,) * counts[1]
-            closed = full_past_info_gain(xi0, traj)
+            closed = full_past_info_gain_from_count(xi0, c)
             orac = oracle_kl_quadrature(add_counts(xi0, c), xi0, abs_tol=kl_tolerance * 0.1)
             context = {"k": 2, "xi0": list(xi0_values), "counts": list(counts)}
             records.append(
@@ -180,10 +179,9 @@ def run_conformance(max_k: int = 3, max_t: int = 6) -> ConformanceResult:
     largest joint, max_k ** max_t trajectories, exceeds
     ``oracle.DEFAULT_JOINT_CAP`` (read at call time).
     """
-    if max_k < 2 or max_k > 3:
+    if check_at_least("max_k", max_k, 2) > 3:
         raise DomainError("conformance grids are defined for alphabet sizes 2 and 3")
-    if max_t < 1:
-        raise DomainError(f"need max_t >= 1, got {max_t}")
+    max_t = check_at_least("max_t", max_t, 1)
     if oracle.exceeds_joint_cap(max_k, max_t):
         raise ResourceCapError(
             f"the grid's largest joint, k={max_k} and t={max_t}, would enumerate "

@@ -65,10 +65,10 @@ from .errors import (
 from .process import (
     CategoricalParam,
     Hyperparameter,
+    check_at_least,
     check_size,
     check_symbol,
     count,
-    validate_trajectory,
 )
 
 #: Most trajectories ``build_joint`` may enumerate.
@@ -254,11 +254,9 @@ class JointTable:
 
     def prob(self, traj: Sequence[int]) -> float:
         """Probability of one trajectory, recomputed the same way the table was built."""
-        traj = validate_trajectory(traj, self.k)
-        if len(traj) != self.t:
-            raise DomainError(f"trajectory length {len(traj)} does not match table depth {self.t}")
-        p = 1.0
         c = count(traj, self.k)
+        check_size("trajectory", c.total, "table depth", self.t)
+        p = 1.0
         for x, n in enumerate(c.counts):
             if n:
                 p *= self.phi.probs[x] ** n
@@ -308,8 +306,7 @@ def build_joint(phi: CategoricalParam, xi0: Hyperparameter, t: int) -> JointTabl
     within 1e-12.
     """
     check_size("hyperparameter", xi0.size, "parameter", phi.size)
-    if t < 1:
-        raise DomainError(f"the joint is defined for t >= 1, got {t}")
+    t = check_at_least("t", t, 1)
     support = phi.support
     m = len(support)
     if exceeds_joint_cap(m, t):
@@ -427,8 +424,7 @@ def oracle_pointwise_ntic(joint: JointTable, traj: Sequence[int], mode: Mode) ->
     trajectory's rank in base ``len(phi.support)``: the rows enumerate the
     trajectories in that order.
     """
-    traj = validate_trajectory(traj, joint.k)
-    p_traj = joint.prob(traj)  # refuses a length other than the table's
+    p_traj = joint.prob(traj)  # checks the symbols and refuses a length other than the table's
     if p_traj == 0.0:
         raise DomainError("trajectory has zero probability under the table's parameter")
     support = joint.phi.support

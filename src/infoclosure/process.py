@@ -1,9 +1,12 @@
 """IID data process, hyperparameter counter, and counting combinatorics.
 
 The data process emits symbols 0..K-1 i.i.d. from a fixed categorical
-parameter; the alphabet is the index range of that parameter.  Every symbol
-the package takes is checked against it by ``check_symbol``, and every pair of
-sizes that must agree by ``check_size``.  The companion counter chain
+parameter; the alphabet is the index range of that parameter.  Every input
+rule has its one raise site and message here, and none truncates:
+``check_symbol`` (a symbol is an integer in 0..K-1), ``check_size`` (two
+sizes that must agree) and ``check_at_least`` (a time, trajectory length,
+count, sample number or alphabet size is an integer no smaller than its
+least).  The companion counter chain
 starts at a strictly positive concentration vector and adds a one-hot
 increment per observed symbol; its state after a trajectory is therefore the
 start vector plus the trajectory's count vector.  Everything downstream
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -82,8 +86,7 @@ class CategoricalParam:
 
     def __post_init__(self) -> None:
         probs = tuple(float(p) for p in self.probs)
-        if len(probs) < 1:
-            raise DomainError("categorical parameter needs at least one component")
+        check_at_least("categorical parameter size", len(probs), 1)
         for p in probs:
             if not (p >= 0.0):  # also rejects NaN
                 raise DomainError(f"probabilities must be >= 0, got {p!r}")
@@ -129,8 +132,7 @@ class Hyperparameter:
 
     def __post_init__(self) -> None:
         alpha = tuple(_to_fraction(a) for a in self.alpha)
-        if len(alpha) < 1:
-            raise DomainError("hyperparameter needs at least one component")
+        check_at_least("hyperparameter size", len(alpha), 1)
         for a in alpha:
             if not a > 0:
                 raise DomainError(f"concentration components must be > 0, got {a!r}")
@@ -167,12 +169,8 @@ class CountVector:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) < 1:
-            raise DomainError("count vector needs at least one component")
-        for c in counts:
-            if c < 0:
-                raise DomainError(f"counts must be nonnegative, got {c!r}")
+        counts = tuple(check_at_least("count", c, 0) for c in self.counts)
+        check_at_least("count vector size", len(counts), 1)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -184,10 +182,26 @@ class CountVector:
         return sum(self.counts)
 
 
-def check_symbol(x: int, k: int) -> None:
-    """Refuse a symbol outside 0..k-1; the package's one home of this rule."""
-    if x < 0 or x >= k:
-        raise AlphabetMismatchError(f"symbol {x} outside alphabet of size {k}")
+def check_symbol(x: int, k: float) -> int:
+    """x as an int; refuses what ``operator.index`` refuses (1.0, "1") or x outside 0..k-1."""
+    try:
+        x = operator.index(x)
+        if 0 <= x < k:
+            return x
+    except TypeError:
+        pass
+    raise AlphabetMismatchError(f"symbol {x!r} outside alphabet of size {k}")
+
+
+def check_at_least(what: str, value: int, least: int) -> int:
+    """``value`` as an int; refuses a non-integer (as ``check_symbol``) or one below ``least``."""
+    try:
+        value = operator.index(value)
+        if value >= least:
+            return value
+    except TypeError:
+        pass
+    raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 def check_size(what: str, size, other: str, other_size) -> None:
@@ -198,12 +212,9 @@ def check_size(what: str, size, other: str, other_size) -> None:
         )
 
 
-def validate_trajectory(traj: Sequence[int], k: int) -> Trajectory:
-    """Return ``traj`` as a tuple after checking every symbol with ``check_symbol``."""
-    out = tuple(int(x) for x in traj)
-    for x in out:
-        check_symbol(x, k)
-    return out
+def validate_trajectory(traj: Sequence[int], k: float) -> Trajectory:
+    """Return ``traj`` as a tuple of ints, each symbol checked by ``check_symbol``."""
+    return tuple([check_symbol(x, k) for x in traj])
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +234,12 @@ def symbol_prob(phi: CategoricalParam, x: int) -> float:
 
 def trajectory_log_prob(phi: CategoricalParam, traj: Sequence[int]) -> float:
     """Log-probability (nats) of a whole trajectory; the empty one has 0."""
-    traj = validate_trajectory(traj, phi.size)
     total = 0.0
-    for x in traj:
-        lp = symbol_prob(phi, x)
-        if lp == NEG_INFINITY:
+    for x in validate_trajectory(traj, phi.size):
+        p = phi.probs[x]
+        if p == 0.0:
             return NEG_INFINITY
-        total += lp
+        total += math.log(p)
     return total
 
 
@@ -240,10 +250,9 @@ def trajectory_log_prob(phi: CategoricalParam, traj: Sequence[int]) -> float:
 
 def count(traj: Sequence[int], k: int) -> CountVector:
     """Occurrence counts of each symbol of an alphabet of size k."""
-    traj = validate_trajectory(traj, k)
     counts = [0] * k
     for x in traj:
-        counts[x] += 1
+        counts[check_symbol(x, k)] += 1
     return CountVector(tuple(counts))
 
 
@@ -306,8 +315,7 @@ def count_log_prob(phi: CategoricalParam, c: CountVector) -> float:
 
 def count_space_size(k: int, t: int) -> int:
     """Number of distinct count vectors of length-t trajectories over k symbols."""
-    if k < 1 or t < 0:
-        raise DomainError(f"need k >= 1 and t >= 0, got k={k}, t={t}")
+    k, t = check_at_least("k", k, 1), check_at_least("t", t, 0)
     return math.comb(t + k - 1, k - 1)
 
 
@@ -346,8 +354,7 @@ def enumerate_counts(k: int, t: int) -> Iterator[CountVector]:
     positions of k - 1 bars among t + k - 1 slots, and ``combinations``
     yields those positions in the same lexicographic order.
     """
-    if k < 1 or t < 0:
-        raise DomainError(f"need k >= 1 and t >= 0, got k={k}, t={t}")
+    k, t = check_at_least("k", k, 1), check_at_least("t", t, 0)
     for bars in itertools.combinations(range(t + k - 1), k - 1):
         edges = (-1, *bars, t + k - 1)
         yield CountVector(tuple(right - left - 1 for left, right in zip(edges, edges[1:])))
@@ -367,9 +374,8 @@ def sample_trajectories(
     read row by row, so a fixed (phi, t, samples, seed) always yields the same
     integer array of shape (samples, t).
     """
-    if t < 0:
-        raise DomainError(f"trajectory length must be >= 0, got {t}")
-    u = np.random.default_rng(seed).random((samples, t))
+    shape = check_at_least("samples", samples, 0), check_at_least("t", t, 0)
+    u = np.random.default_rng(seed).random(shape)
     symbols = np.searchsorted(np.cumsum(phi.as_array()), u, side="right")
     # Float cumsum can land just below 1; fold the sliver onto the last
     # positive-probability symbol.
@@ -378,4 +384,4 @@ def sample_trajectories(
 
 def sample_trajectory(phi: CategoricalParam, t: int, seed: int) -> Trajectory:
     """Draw one length-t trajectory: the single row of ``sample_trajectories``."""
-    return tuple(int(x) for x in sample_trajectories(phi, t, 1, seed)[0])
+    return tuple(sample_trajectories(phi, t, 1, seed)[0].tolist())

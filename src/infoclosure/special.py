@@ -66,6 +66,8 @@ def log_gamma(z: float) -> float:
     z = float(z)
     if not z > 0.0:
         raise DomainError(f"log_gamma requires z > 0, got {z!r}")
+    if z == math.inf:
+        return z  # the Stirling form below would take inf - inf
     shift = 0.0
     while z < _SHIFT_THRESHOLD:
         shift -= math.log(z)

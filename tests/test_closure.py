@@ -94,6 +94,17 @@ class TestCountEntropy:
         with pytest.raises(ResourceCapError, match="smaller t"):
             count_entropy(CategoricalParam((0.5, 0.5)), 10**9)
 
+    @pytest.mark.parametrize("cap", [1, 6, 40, 4 * 10**6])
+    def test_first_capped_row_is_the_least_t_over_the_cap(self, monkeypatch, cap):
+        import infoclosure.closure as closure
+
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", cap)
+        for k in [*range(1, 60), cap - 1, cap, cap + 1, 3 * cap]:
+            if k < 1:
+                continue
+            t = closure.first_capped_row(k)
+            assert k * (t + 1) > cap and (t == 1 or k * t <= cap), (k, t)
+
     @pytest.mark.parametrize("probs", [(0.1, 0.9), (0.5, 0.5), (0.01, 0.99)])
     def test_matches_mpmath_at_large_t(self, probs):
         # Uncentred and over unrescaled table rows, -log t! + t H(phi) +

@@ -60,6 +60,9 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(-2.5)
 
+    def test_infinity_is_infinity_as_in_lgamma_and_digamma(self):
+        assert log_gamma(math.inf) == math.lgamma(math.inf) == digamma(math.inf) == math.inf
+
 
 class TestDigamma:
     def test_at_one_is_minus_euler_gamma(self):
