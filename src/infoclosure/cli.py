@@ -310,8 +310,11 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _check_sizes(phi: CategoricalParam | None, xi0: Hyperparameter | None) -> None:

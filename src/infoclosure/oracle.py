@@ -11,24 +11,26 @@ the closed forms elsewhere in the package can be machine-checked:
   definitional sums over the joint's marginals, with no closed-form
   shortcuts -- the transfer-entropy oracle additionally computes the
   unsimplified conditional information against the whole past and checks
-  that the two agree.  For this deterministic counter the two sums group the
-  rows by one shared partition, so the check catches rows that disagree with
-  groups they share, but neither a damaged row probability on a table
-  grouped afresh nor a fault in that partition;
+  that the two agree.  Both sums group the rows by the one ``pair``
+  grouping below, so the check catches rows that disagree with groups they
+  share, but neither a damaged row probability on a table grouped afresh nor
+  a fault in that grouping;
 * the quadrature oracle integrates the Beta-Beta KL divergence numerically,
   with a tanh-sinh rule, to validate the log-gamma/digamma closed form of the
   full-past information gain.
 
-Each marginal groups the table's rows by its key: the counter state
-before or after the last observation, the last observation, or a tuple of
-these.  Any two of the three fix the third, so the four tuple keys group the
-rows alike and share one partition.  A row's key is one integer code, with a
-digit of radix t + 1 per count of each state it names and a digit of radix K
-for the last symbol, so the grouping is one sort per distinct partition, four
-in all, and each group's probability is one exactly rounded ``math.fsum``
-over its members, independent of enumeration order.  The per-row sums
-(full-past mutual information, unsimplified transfer entropy) are numpy term
-arrays, each reduced with one ``math.fsum`` as well.
+Each marginal groups the table's rows by its key: the counter state after
+the last observation, the one before it, the last observation, or a tuple of
+these.  The counter is deterministic, state = prev + e_last, so any two of
+the three fix the third and every tuple key groups the rows as (last, state)
+does.  The rows thus have four groupings, ``state``, ``prev``, ``last`` and
+``pair``, the last serving (last, state), (last, prev), (state, prev) and the
+triple alike.  A row's key is one integer code, with a digit of radix t + 1
+per count of each state it names and a digit of radix K for the last symbol,
+so each grouping is one sort, and each group's probability is one exactly
+rounded ``math.fsum`` over its members, independent of enumeration order.
+The per-row sums (full-past mutual information, unsimplified transfer
+entropy) are numpy term arrays, each reduced with one ``math.fsum`` as well.
 
 A counter state is the start xi0 plus the counts, a one-to-one relabelling,
 so the groups need no state labels, and neither they nor the definitional
@@ -93,26 +95,11 @@ _TS_LGAMMA_ULPS = 4
 #: Largest mixed-radix group code; a longer key is re-ranked before it overflows int64.
 _CODE_LIMIT = 2**62
 
-#: The key of every marginal, as a tuple of row fields: the counter state
-#: after the last observation, the one before it, and the last observation.
-#: The counter is deterministic, state = prev + e_last, so any two of the
-#: three fields fix the third: the last four keys group the rows alike, and
-#: ``_layout`` builds their one partition from (last, state).
-_MARGINAL_KEYS = {
-    "p_state": ("state",),
-    "p_prev": ("prev",),
-    "p_last": ("last",),
-    "p_last_state": ("last", "state"),
-    "p_last_prev": ("last", "prev"),
-    "p_state_pair": ("state", "prev"),
-    "p_triple": ("state", "last", "prev"),
-}
-
 Mode = Literal["full_past", "one_step"]
 
 
 class _Partition(NamedTuple):
-    """The rows of a layout grouped by one marginal's key."""
+    """The rows of a layout grouped by one key."""
 
     order: np.ndarray  # (rows,) rows sorted by key, so each group is contiguous
     bounds: tuple[int, ...]  # (groups + 1,) start of each group in order, then rows
@@ -121,7 +108,7 @@ class _Partition(NamedTuple):
 
 
 class _Grouping(NamedTuple):
-    """One marginal of a joint table: its layout's groups and their probabilities."""
+    """One grouping of a joint table's rows and each group's probability."""
 
     inverse: np.ndarray  # (rows,) group of each row
     rep: np.ndarray  # (groups,) one row of each group
@@ -129,7 +116,7 @@ class _Grouping(NamedTuple):
 
 
 class _Layout(NamedTuple):
-    """The rows of every joint of one (K, support, t) and their marginal partitions."""
+    """The rows of every joint of one (K, support, t) and their four partitions."""
 
     trajectories: np.ndarray  # (n, t) int8
     counts: np.ndarray  # (n, k) int16
@@ -167,19 +154,9 @@ def _partition(columns: Sequence[tuple[np.ndarray, int]]) -> _Partition:
     return _Partition(_frozen(order), bounds, _frozen(inverse), _frozen(order[starts]))
 
 
-def _last(trajectories: np.ndarray) -> np.ndarray:
-    return trajectories[:, -1].astype(np.int64)
-
-
-def _prev_counts(trajectories: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    prev = counts.astype(np.int64)
-    prev[np.arange(len(prev)), _last(trajectories)] -= 1
-    return prev
-
-
 @functools.lru_cache(maxsize=1)
 def _layout(k: int, support: tuple[int, ...], t: int) -> _Layout:
-    """Every trajectory of length t over ``support``, its counts and the marginal partitions.
+    """Every trajectory of length t over ``support``, its counts and their four partitions.
 
     Rows are in lexicographic order of the trajectories.  Memoised for the
     last (k, support, t) asked for; the layout is read-only, since every
@@ -200,16 +177,17 @@ def _layout(k: int, support: tuple[int, ...], t: int) -> _Layout:
     for x in range(k):
         counts[:, x] = (trajs == x).sum(axis=1)
 
-    radix = t + 1
-    fields = {
-        "state": [(column, radix) for column in counts.T],
-        "prev": [(column, radix) for column in _prev_counts(trajs, counts).T],
-        "last": [(_last(trajs), k)],
-    }
-    shared = _partition(fields["last"] + fields["state"])
+    last = trajs[:, -1].astype(np.int64)
+    prev = counts.astype(np.int64)
+    prev[np.arange(n), last] -= 1
+    state = [(column, t + 1) for column in counts.T]
     partitions = {
-        name: shared if len(key) > 1 else _partition(fields[key[0]])
-        for name, key in _MARGINAL_KEYS.items()
+        "state": _partition(state),
+        "prev": _partition([(column, t + 1) for column in prev.T]),
+        "last": _partition([(last, k)]),
+        # Any two of (last, state, prev) fix the third, so this also groups
+        # the rows by (last, prev), (state, prev) and all three.
+        "pair": _partition([(last, k), *state]),
     }
     return _Layout(_frozen(trajs), _frozen(counts), types.MappingProxyType(partitions))
 
@@ -229,9 +207,9 @@ class JointTable:
     The rows, their counts and their groupings come from a layout that
     tables of the same (K, support, t) share, so ``trajectories`` and
     ``counts`` are read-only; only ``probs`` is the table's own.  The table
-    holds no start: the row groupings of the marginals depend on neither phi
-    nor the start.  The four marginals keyed by two or three of (state,
-    last, previous state) share one grouping and its group probabilities.
+    holds no start: the row groupings depend on neither phi nor the start.
+    There are four: ``state``, ``prev``, ``last`` and ``pair``, which every
+    key naming two or three of them shares, since any two fix the third.
     """
 
     k: int
@@ -262,25 +240,16 @@ class JointTable:
                 p *= self.phi.probs[x] ** n
         return p
 
-    # -- marginal groupings ------------------------------------------------
+    # -- groupings ---------------------------------------------------------
     def _ensure_groups(self) -> dict[str, _Grouping]:
-        """Each marginal's group probabilities: one ``math.fsum`` over each group's rows.
-
-        Marginals that share a partition share its sums, so each distinct
-        partition of the layout is summed once.
-        """
+        """Each grouping's group probabilities: one ``math.fsum`` over each group's rows."""
         groups = self._groups
-        if groups:
-            return groups
-        sums_of: dict[int, np.ndarray] = {}
-        for name, part in self._layout.partitions.items():
-            sums = sums_of.get(id(part))
-            if sums is None:
+        if not groups:
+            for name, part in self._layout.partitions.items():
                 members = self.probs[part.order].tolist()
                 bounds = part.bounds
                 sums = np.array([math.fsum(members[a:b]) for a, b in zip(bounds, bounds[1:])])
-                sums_of[id(part)] = sums
-            groups[name] = _Grouping(part.inverse, part.rep, sums)
+                groups[name] = _Grouping(part.inverse, part.rep, sums)
         return groups
 
 
@@ -346,7 +315,7 @@ def build_joint(phi: CategoricalParam, xi0: Hyperparameter, t: int) -> JointTabl
 def oracle_mutual_information(joint: JointTable, mode: Mode) -> float:
     """I(whole past : state) or I(last observation : state) by definitional sums."""
     groups = joint._ensure_groups()
-    state = groups["p_state"]
+    state = groups["state"]
     if mode == "full_past":
         p = joint.probs
         # p(trajectory, state) equals p(trajectory): the state is determined.
@@ -354,30 +323,30 @@ def oracle_mutual_information(joint: JointTable, mode: Mode) -> float:
         terms = p_joint * np.log(p_joint / (p * state.probs[state.inverse]))
         return math.fsum(terms.tolist())
     if mode == "one_step":
-        pair = groups["p_last_state"]
-        p_joint = pair.probs
-        rows = pair.rep
-        terms = p_joint * np.log(p_joint / (_at(groups["p_last"], rows) * _at(state, rows)))
+        last_state = groups["pair"]
+        p_joint = last_state.probs
+        rows = last_state.rep
+        terms = p_joint * np.log(p_joint / (_at(groups["last"], rows) * _at(state, rows)))
         return math.fsum(terms.tolist())
     raise DomainError(f"unknown mode {mode!r}, expected 'full_past' or 'one_step'")
 
 
 def _te_simplified(groups: dict[str, _Grouping]) -> float:
-    triple = groups["p_triple"]
+    triple = state_pair = last_prev = groups["pair"]
     p = triple.probs
     rows = triple.rep
-    num = _at(groups["p_prev"], rows) * p
-    den = _at(groups["p_state_pair"], rows) * _at(groups["p_last_prev"], rows)
+    num = _at(groups["prev"], rows) * p
+    den = _at(state_pair, rows) * _at(last_prev, rows)
     return math.fsum((p * np.log(num / den)).tolist())
 
 
 def _te_unsimplified(joint: JointTable, groups: dict[str, _Grouping]) -> float:
-    prev, pair = groups["p_prev"], groups["p_state_pair"]
+    prev, state_pair = groups["prev"], groups["pair"]
     p = joint.probs
     # p(state, trajectory, previous) and p(trajectory, previous) both
     # equal p(trajectory): the states are determined.
     num = prev.probs[prev.inverse] * p
-    den = pair.probs[pair.inverse] * p
+    den = state_pair.probs[state_pair.inverse] * p
     return math.fsum((p * np.log(num / den)).tolist())
 
 
@@ -388,15 +357,13 @@ def oracle_transfer_entropy(joint: JointTable) -> float:
     and raises ``InternalConsistencyError`` if the two disagree beyond 1e-10
     (they coincide by the chain's conditional-independence structure).
 
-    The check's reach is limited.  The counter is deterministic: any two of
-    (previous state, last observation, state) fix the third, so the triple,
-    (state, previous) and (last, previous) keys group the rows alike, and
-    the layout builds one partition for them.  The simplified sum is the
-    whole-past sum with its rows grouped, and the two agree for any row
-    probabilities.  The check catches rows whose probabilities disagree with
-    groups they share.  It cannot catch a damaged row probability on a table
-    grouped afresh, nor a fault in the shared partition, which both sums
-    read; the tests check that partition against the keys' row partitions
+    The check's reach is limited.  Both sums read the ``pair`` grouping for
+    the triple, (state, previous) and (last, previous) keys, and the
+    simplified sum is the whole-past sum with its rows grouped, so the two
+    agree for any row probabilities.  The check catches rows whose
+    probabilities disagree with groups they share.  It cannot catch a damaged
+    row probability on a table grouped afresh, nor a fault in the ``pair``
+    grouping; the tests check it against each key's row partition
     recomputed from the trajectories.
     """
     groups = joint._ensure_groups()
@@ -436,18 +403,21 @@ def oracle_pointwise_ntic(joint: JointTable, traj: Sequence[int], mode: Mode) ->
     def marginal(name: str) -> float:
         return float(_at(groups[name], row))
 
+    p_state, p_prev, p_last = marginal("state"), marginal("prev"), marginal("last")
+    p_last_state = p_triple = p_state_pair = p_last_prev = marginal("pair")
+
     if mode == "full_past":
         # log p(state | whole past) - log p(state)
         p_state_given_past = p_traj / p_traj  # state is determined by the past
-        mi_pw = math.log(p_state_given_past) - math.log(marginal("p_state"))
+        mi_pw = math.log(p_state_given_past) - math.log(p_state)
     elif mode == "one_step":
-        p_state_given_last = marginal("p_last_state") / marginal("p_last")
-        mi_pw = math.log(p_state_given_last) - math.log(marginal("p_state"))
+        p_state_given_last = p_last_state / p_last
+        mi_pw = math.log(p_state_given_last) - math.log(p_state)
     else:
         raise DomainError(f"unknown mode {mode!r}, expected 'full_past' or 'one_step'")
 
-    p_last_given_both = marginal("p_triple") / marginal("p_state_pair")
-    p_last_given_prev = marginal("p_last_prev") / marginal("p_prev")
+    p_last_given_both = p_triple / p_state_pair
+    p_last_given_prev = p_last_prev / p_prev
     te_pw = math.log(p_last_given_both) - math.log(p_last_given_prev)
     return mi_pw - te_pw
 

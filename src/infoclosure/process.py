@@ -5,13 +5,12 @@ parameter; the alphabet is the index range of that parameter.  Every input
 rule has its one raise site and message here, and none truncates:
 ``check_symbol`` (a symbol is an integer in 0..K-1), ``check_size`` (two
 sizes that must agree) and ``check_at_least`` (a time, trajectory length,
-count, sample number or alphabet size is an integer no smaller than its
-least).  The companion counter chain
-starts at a strictly positive concentration vector and adds a one-hot
-increment per observed symbol; its state after a trajectory is therefore the
-start vector plus the trajectory's count vector.  Everything downstream
-(closure measures, belief layer, oracle) consumes the types and counting
-primitives defined here.
+count, sample number, seed or alphabet size is an integer no smaller than
+its least).  The companion counter chain starts at a strictly positive
+concentration vector and adds a one-hot increment per observed symbol; its
+state after a trajectory is therefore the start vector plus the trajectory's
+count vector.  Everything downstream (closure measures, belief layer,
+oracle) consumes the types and counting primitives defined here.
 
 Numeric conventions used throughout the package:
 
@@ -286,13 +285,21 @@ def log_count_cardinality(c: CountVector) -> float:
     """Natural log of ``inverse_count_cardinality(c)``.
 
     Uses the exact integer while total <= 64 and the ``log_factorials``
-    table above, whose entries are computed once per process.
+    table above, whose entries are computed once per process.  A total
+    beyond twice the table's length does not grow it: as ``special.shifted``
+    reads a far lattice point, each entry past the table is evaluated on its
+    own, as ``log_gamma(m + 1)``, the value the table would hold.
     """
     total = c.total
     if total <= _EXACT_LOG_TOTAL:
         return math.log(inverse_count_cardinality(c))
-    log_fact = log_factorials(total)
-    return float(log_fact[total]) - math.fsum(log_fact[n] for n in c.counts)
+    table = _log_factorial_table
+    if total <= 2 * len(table):
+        log_fact = log_factorials(total)
+        return float(log_fact[total]) - math.fsum(log_fact[n] for n in c.counts)
+    return log_gamma(total + 1.0) - math.fsum(
+        table[n] if n < len(table) else log_gamma(n + 1.0) for n in c.counts
+    )
 
 
 def count_log_prob(phi: CategoricalParam, c: CountVector) -> float:
@@ -372,9 +379,14 @@ def sample_trajectories(
 
     Symbols come from inverse-CDF lookups on a seeded PCG64 uniform stream
     read row by row, so a fixed (phi, t, samples, seed) always yields the same
-    integer array of shape (samples, t).
+    integer array of shape (samples, t).  The seed is an integer >= 0 or a
+    sequence of them.
     """
     shape = check_at_least("samples", samples, 0), check_at_least("t", t, 0)
+    if isinstance(seed, Sequence) and not isinstance(seed, str):
+        seed = [check_at_least("seed", s, 0) for s in seed]
+    else:
+        seed = check_at_least("seed", seed, 0)
     u = np.random.default_rng(seed).random(shape)
     symbols = np.searchsorted(np.cumsum(phi.as_array()), u, side="right")
     # Float cumsum can land just below 1; fold the sliver onto the last

@@ -336,6 +336,21 @@ class TestFlags:
         assert err.startswith("error:")
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize(
+        "command, place",
+        [
+            (("curve", "--phi", "0.5,0.5", "--tmax", "2"), "missing/x.csv"),
+            (("conformance", "--max-k", "2", "--max-t", "2"), "."),
+        ],
+        ids=["missing-directory", "a-directory"],
+    )
+    def test_an_out_path_that_cannot_be_written_is_a_usage_error(self, tmp_path, command, place):
+        path = str(tmp_path / place)
+        rc, _, err = run_cli(*command, "--out", path)
+        assert rc == 1
+        assert err.startswith(f"error: cannot write {path!r}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_readme_lists_the_flags_each_command_accepts(self):
         assert readme_flags() == parser_flags()
 

@@ -3,11 +3,11 @@
 Every function that takes a symbol or a vector refuses a bad one with
 ``AlphabetMismatchError``, raised inside ``process.check_symbol`` or
 ``process.check_size`` with its message.  Every function that takes a time,
-a trajectory length, a count, a sample number or an alphabet size refuses
-one that is not an integer or is too small with ``DomainError``, raised
-inside ``process.check_at_least``.  Nothing is truncated: 1.5, 1.0 and "1"
-are refused where an integer is due.  The command line prints the message
-with exit code 1.
+a trajectory length, a count, a sample number, a seed or an alphabet size
+refuses one that is not an integer or is too small with ``DomainError``,
+raised inside ``process.check_at_least``.  Nothing is truncated: 1.5, 1.0
+and "1" are refused where an integer is due.  The command line prints the
+message with exit code 1.
 """
 
 import contextlib
@@ -135,7 +135,7 @@ def test_the_command_line_prints_the_helpers_message(argv, message):
 
 
 # ---------------------------------------------------------------------------
-# Integers: symbols, times, lengths, counts, sample numbers and sizes
+# Integers: symbols, times, lengths, counts, sample numbers, seeds and sizes
 # ---------------------------------------------------------------------------
 
 JOINT = oracle.build_joint(PHI, XI0, 2)
@@ -192,6 +192,10 @@ INTEGER_CALLS = [
     ("sample_trajectories_samples", lambda n: process.sample_trajectories(PHI, 2, n, 0),
      "samples", 0),
     ("sample_trajectory", lambda t: process.sample_trajectory(PHI, t, 0), "t", 0),
+    ("sample_trajectory_seed", lambda s: process.sample_trajectory(PHI, 3, s), "seed", 0),
+    ("sample_trajectories_seed", lambda s: process.sample_trajectories(PHI, 2, 2, s), "seed", 0),
+    ("sample_trajectories_seed_entry",
+     lambda s: process.sample_trajectories(PHI, 2, 2, [1, s]), "seed", 0),
     ("run_conformance_max_t", lambda t: run_conformance(2, t), "max_t", 1),
     ("run_conformance_max_k", lambda k: run_conformance(k, 2), "max_k", 2),
     ("count_vector", lambda n: CountVector((n, 1)), "count", 0),

@@ -341,6 +341,19 @@ class TestLattice:
             process.log_factorials(n)
         assert len(calls) == 210 - 64
 
+    def test_a_far_total_is_read_without_growing_the_table(self, monkeypatch):
+        # One call at a total far past the table evaluates its entries on
+        # their own, the values the grown table holds; a near total grows it.
+        monkeypatch.setattr(process, "_log_factorial_table", process._EXACT_LOG_FACTORIALS)
+        exact = len(process._EXACT_LOG_FACTORIALS)
+        c = CountVector((2 * 10**5 - 101, 100, 1))
+        far = process.log_count_cardinality(c)
+        assert len(process._log_factorial_table) == exact
+        process.log_count_cardinality(CountVector((2 * exact - 1, 1)))
+        assert len(process._log_factorial_table) == 2 * exact + 1
+        process.log_factorials(2 * 10**5)
+        assert process.log_count_cardinality(c).hex() == far.hex()
+
     def test_log_factorials_grow_by_doubling(self, monkeypatch):
         # An ascending sweep, one new entry per call, reallocates the table's
         # buffer O(log n) times: every slice handed out is a view of one of

@@ -111,7 +111,7 @@ class TestBuildJoint:
         # previous state plus a one-hot of the last symbol, with the
         # previous state counted afresh from the first t - 1 symbols.
         joint = build_joint(CategoricalParam((0.3, 0.7)), Hyperparameter((0.5, 2)), 3)
-        triple = joint._ensure_groups()["p_triple"]
+        triple = joint._ensure_groups()["pair"]
         for rep in triple.rep.tolist():
             traj = joint.trajectories[rep].tolist()
             prev = count(traj[:-1], joint.k).counts
@@ -414,7 +414,7 @@ class TestMarginals:
         # far beyond 64 bits.
         phi = CategoricalParam((1 / 50,) * 50)
         joint = build_joint(phi, Hyperparameter((1,) * 50), 2)
-        state = joint._ensure_groups()["p_state"]
+        state = joint._ensure_groups()["state"]
         states = [tuple(c) for c in joint.counts[state.rep].tolist()]
         assert len(states) == 50 * 51 // 2
         # Groups come in ascending key order, which a wrapped code would scramble.
@@ -517,10 +517,11 @@ def row_partition(rows, key):
 
 
 class TestCoincidingKeys:
-    # The layout builds one partition for the four keys naming two or three of
-    # (state, last, previous state); the d-separation check reads it on both
-    # sides, so only these partitions, recomputed from the trajectories with
-    # Python tuples, can catch a fault in it.
+    # The layout builds four partitions, and ``pair`` serves every key naming
+    # two or three of (state, last, previous state); the d-separation check
+    # reads it on both sides, so only the partitions of the seven keys,
+    # recomputed from the trajectories with Python tuples, can catch a fault
+    # in it.
 
     @pytest.mark.parametrize("probs", [(0.3, 0.7), (0.2, 0.3, 0.5), (0.5, 0.0, 0.5)])
     def test_the_four_joint_keys_group_the_rows_alike(self, probs):
@@ -538,18 +539,18 @@ class TestCoincidingKeys:
                 name: row_partition(rows, lambda row, key=key: tuple(fields[f](row) for f in key))
                 for name, key in MARGINAL_KEYS.items()
             }
-            shared = expected["p_last_state"]
-            assert expected["p_last_prev"] == shared
-            assert expected["p_state_pair"] == shared
-            assert expected["p_triple"] == shared
             partitions = joint._layout.partitions
-            assert set(partitions) == set(MARGINAL_KEYS)
-            for name, part in partitions.items():
-                inverse = part.inverse.tolist()
-                assert row_partition(range(len(rows)), inverse.__getitem__) == expected[name]
-            assert len({id(part) for part in partitions.values()}) == 4
-            groups = joint._ensure_groups()
-            assert len({id(grouping.probs) for grouping in groups.values()}) == 4
+            assert list(partitions) == ["state", "prev", "last", "pair"]
+            actual = {
+                name: row_partition(range(len(rows)), part.inverse.tolist().__getitem__)
+                for name, part in partitions.items()
+            }
+            assert actual["state"] == expected["p_state"]
+            assert actual["prev"] == expected["p_prev"]
+            assert actual["last"] == expected["p_last"]
+            for name in ("p_last_state", "p_last_prev", "p_state_pair", "p_triple"):
+                assert actual["pair"] == expected[name], name
+            assert list(joint._ensure_groups()) == ["state", "prev", "last", "pair"]
 
 
 def oracle_sums(joint):
