@@ -39,6 +39,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -53,14 +54,7 @@ from .bayes import (
     ntic_ig_divergence_witness,
     one_step_info_gain_from_count,
 )
-from .closure import (
-    count_entropy_from_weights,
-    expectation,
-    last_count_weights,
-    one_step_ntic_from_weights,
-    pointwise_ntic_from_count,
-    symbol_entropy,
-)
+from .closure import expected_values, pointwise_ntic_from_count
 from .conformance import run_conformance
 from .errors import (
     DomainError,
@@ -90,7 +84,14 @@ EXIT_RESOURCE = 4
 #: symbol and the clipped copy), so `curve` needs samples * tmax * 24 of them.
 MC_BUDGET_BYTES = 2**30
 
-CURVE_QUANTITIES = ("ntic", "one_step_ntic", "info_gain", "surprise")
+#: Each curve quantity and its value at one sampled trajectory with counts c and last
+#: symbol x; a Monte Carlo cell is their mean, an exact one ``closure.expected_values``.
+CURVE_QUANTITIES = {
+    "ntic": lambda phi, xi0, c, x: pointwise_ntic_from_count(phi, c, x),
+    "one_step_ntic": lambda phi, xi0, c, x: math.log(c.counts[x] / c.total),
+    "info_gain": lambda phi, xi0, c, x: one_step_info_gain_from_count(xi0, c, x),
+    "surprise": lambda phi, xi0, c, x: marginal_surprise_from_count(xi0, c, x),
+}
 
 TRAJECTORY_COLUMNS = (
     "pointwise_ntic",
@@ -317,6 +318,18 @@ def _emit(text: str, path: str | None) -> None:
             raise UsageError(f"cannot write {path!r}: {exc}") from exc
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an unwritable ``--out`` before any work; a file made here is removed again."""
+    made = path is not None and not os.path.lexists(path)
+    try:
+        if path is not None:
+            open(path, "a").close()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from exc
+    if made:
+        os.remove(path)
+
+
 def _check_sizes(phi: CategoricalParam | None, xi0: Hyperparameter | None) -> None:
     if phi is not None and xi0 is not None:
         check_size("hyperparameter", xi0.size, "parameter", phi.size)
@@ -327,48 +340,24 @@ def _check_sizes(phi: CategoricalParam | None, xi0: Hyperparameter | None) -> No
 # ---------------------------------------------------------------------------
 
 
-def _curve_exact_row(
-    phi: CategoricalParam, xi0: Hyperparameter | None, quantities: Sequence[str], t: int
-) -> dict:
-    """One last-count table gives every requested quantity."""
-    weights = last_count_weights(phi, t)
-    row: dict = {"t": t}
-    if "ntic" in quantities:
-        entropy = count_entropy_from_weights(phi, weights)
-        row["ntic"] = entropy - symbol_entropy(phi)
-    if "one_step_ntic" in quantities:
-        row["one_step_ntic"] = one_step_ntic_from_weights(weights)
-    if "info_gain" in quantities or "surprise" in quantities:
-        gain, surprise = belief_tables(xi0, t)
-        for quantity, table in (("info_gain", gain), ("surprise", surprise)):
-            if quantity in quantities:
-                row[quantity] = expectation(weights, table)
-    row["method"] = "exact"
-    return row
+def _curve_exact_row(phi: CategoricalParam, xi0, quantities: Sequence[str], t: int) -> dict:
+    """One ``expected_values`` call; the belief tables are built only for a belief quantity."""
+    beliefs = belief_tables(xi0, t) if {"info_gain", "surprise"} & set(quantities) else None
+    return {"t": t, **expected_values(phi, t, quantities, beliefs), "method": "exact"}
 
 
 def _curve_mc_row(args: argparse.Namespace, t: int) -> dict:
-    phi = args.phi
+    phi, xi0 = args.phi, args.xi0
     batch = sample_trajectories(phi, t, args.samples, [args.seed, t])
     # The (samples, K) counts in one pass: sample i's symbol x < K is bin i * K + x.
     bins = (batch + phi.size * np.arange(args.samples)[:, None]).ravel()
     counts = np.bincount(bins, minlength=args.samples * phi.size).reshape(-1, phi.size)
-    row: dict = {"t": t}
-    values: dict[str, list[float]] = {q: [] for q in args.quantities}
-    for sample_counts, x in zip(counts.tolist(), batch[:, -1].tolist()):
-        c = CountVector(tuple(sample_counts))
-        if "ntic" in values:
-            values["ntic"].append(pointwise_ntic_from_count(phi, c, x))
-        if "one_step_ntic" in values:
-            values["one_step_ntic"].append(math.log(c.counts[x] / t))
-        if "info_gain" in values:
-            values["info_gain"].append(one_step_info_gain_from_count(args.xi0, c, x))
-        if "surprise" in values:
-            values["surprise"].append(marginal_surprise_from_count(args.xi0, c, x))
-    for quantity in args.quantities:
-        row[quantity] = math.fsum(values[quantity]) / args.samples
-    row["method"] = "mc"
-    return row
+    samples = [(CountVector(tuple(c)), x) for c, x in zip(counts.tolist(), batch[:, -1].tolist())]
+    means = {
+        q: math.fsum(CURVE_QUANTITIES[q](phi, xi0, c, x) for c, x in samples) / args.samples
+        for q in args.quantities
+    }
+    return {"t": t, **means, "method": "mc"}
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -571,6 +560,7 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(getattr(args, "out", None))  # before any row or grid point
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,23 +21,19 @@ tests validate this grouping against full trajectory enumeration, and
 ``count_last_distribution`` walks it one pair at a time, up to
 ``DEFAULT_COUNT_CAP`` count vectors.
 
-The exact rows need less than that joint.  The one-step closure and the
+The expected values need less than that joint.  The one-step closure and the
 belief-layer quantities depend on a pair only through (x, c_x), and the
 count entropy is linear in the per-symbol log c_x!.  So every expected
 quantity at time t is a sum over one table, ``last_count_weights``:
 w[x, n] = p(last symbol = x, c_x = n), K binomial rows of length t + 1,
-where count space has O(t^(K-1)) points.  ``expectation`` reduces the table
-against a per-(x, n) value, ``count_entropy_from_weights`` turns it into the
-count entropy, centred so that no weight multiplies a term of size t log t,
-and each result is one exactly rounded ``math.fsum``, independent of the
-summation order.  Only the terms of nonzero weight reach the ``fsum``: it
-ignores exact zeros, so dropping them changes no bit, and most of a long
-row's binomial tail underflows to 0 (all but one entry when K = 1).  The
-table's rows are built at full length for every 0 < phi_x < 1, and the
-count entropy and the one-step closure build their terms at the nonzero
-weights only.
-``count_entropy``, ``ntic``, ``one_step_ntic``, the conformance closed forms
-and the CLI's exact curve rows are all built on it.
+where count space has O(t^(K-1)) points.  One kernel, ``expected_values``,
+takes the table's nonzero entries (x, n, w) once and reduces each requested
+quantity to one exactly rounded ``math.fsum`` of per-entry terms, so a value
+does not depend on the summation order.  Only the nonzero entries make
+terms: ``fsum`` ignores exact zeros, so leaving them out changes no bit, and
+most of a long row's binomial tail underflows to 0 (all but one entry when
+K = 1).  ``count_entropy``, ``ntic``, ``one_step_ntic``, the conformance
+closed forms and the CLI's exact curve rows are all one call of it.
 """
 
 from __future__ import annotations
@@ -82,15 +78,6 @@ def first_capped_row(k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_terms(terms: np.ndarray, weights: np.ndarray) -> list[float]:
-    """The entries of ``terms`` whose weight (same shape) is nonzero, for ``math.fsum``.
-
-    A zero weight makes a zero term, and ``fsum`` ignores exact zeros, so the
-    sum is the same bit for bit; it only skips the per-term cost of ``fsum``.
-    """
-    return terms[weights != 0.0].tolist()
-
-
 def last_count_weights(phi: CategoricalParam, t: int) -> np.ndarray:
     """p(last symbol = x, c_x = n) for length-t trajectories, as a (K, t + 1) array.
 
@@ -119,29 +106,17 @@ def last_count_weights(phi: CategoricalParam, t: int) -> np.ndarray:
             row = np.exp(log_binom + n * math.log(p) + (t - n) * math.log1p(-p))
             # The row sums to phi_x; rescaling it to that sum cancels the
             # rounding of log (t - 1)!, which every entry shares.
-            weights[x, 1:] = row * (p / math.fsum(_nonzero_terms(row, row)))
+            weights[x, 1:] = row * (p / math.fsum(row[row != 0.0].tolist()))
     return weights
 
 
-def expectation(weights: np.ndarray, values: np.ndarray) -> float:
-    """Expectation of a per-(last symbol, count) value under a ``last_count_weights`` table.
-
-    The sum of weights[x, n] * values[x, n] over every x and n >= 1, exactly
-    rounded.  ``values`` is an array of the same (K, t + 1) shape, such as a
-    ``bayes.belief_tables`` table; any other shape raises
-    ``AlphabetMismatchError``.  Its column 0 (a count the last symbol cannot
-    have) is never read, nor is any entry whose weight is 0.
-    """
-    check_size("value table", values.shape, "weight table", weights.shape)
-    weights = weights[:, 1:]
-    return math.fsum(_nonzero_terms(weights * values[:, 1:], weights))
-
-
-def count_entropy_from_weights(phi: CategoricalParam, weights: np.ndarray) -> float:
-    """Count entropy (nats) at the t of a ``last_count_weights(phi, t)`` table.
+def _count_entropy_terms(
+    phi: CategoricalParam, t: int, x: np.ndarray, n: np.ndarray, w: np.ndarray
+) -> list[float]:
+    """The terms whose sum is the count entropy (nats) at the nonzero table entries (x, n, w).
 
     -log p(c) = -log t! + sum_x (log c_x! - c_x log phi_x), and c_x is
-    Binomial(t, phi_x), whose pmf is (t / n) * weights[x, n] for n >= 1 and
+    Binomial(t, phi_x), whose pmf is (t / n) * w[x, n] for n >= 1 and
     (1 - phi_x)^t at 0.  Weighing log n! by that pmf directly would scale
     each rounding of the pmf by a term of size t log t, while the entropy is
     of size log t.  So log n! is centred on the secant L through
@@ -149,36 +124,61 @@ def count_entropy_from_weights(phi: CategoricalParam, weights: np.ndarray) -> fl
     log m! + log(m + 1) * (t phi_x - m), and the pmf only weighs
     log n! - L(n), which is small where the pmf is not.
     """
-    t = weights.shape[1] - 1
     log_fact = log_factorials(t)
     terms = [-log_fact[t]]
     centre = np.zeros(phi.size, dtype=np.int64)  # m per symbol
     slope = np.zeros(phi.size)  # log(m + 1) per symbol
-    for x, p in enumerate(phi.probs):
+    for symbol, p in enumerate(phi.probs):
         if p == 0.0:
             continue  # c_x is 0 on every trajectory
         num, den = p.as_integer_ratio()  # t * phi_x = t * num / den exactly
-        m = centre[x] = t * num // den
-        slope[x] = math.log(m + 1)
-        terms += [log_fact[m], slope[x] * ((t * num - m * den) / den), -t * p * math.log(p)]
+        m = centre[symbol] = t * num // den
+        slope[symbol] = math.log(m + 1)
+        terms += [log_fact[m], slope[symbol] * ((t * num - m * den) / den), -t * p * math.log(p)]
         at_zero = math.exp(t * math.log1p(-p)) if p < 1.0 else 0.0
         if at_zero != 0.0:
-            terms.append(at_zero * (log_fact[0] - log_fact[m] - slope[x] * (0 - m)))
-    # Every symbol's n >= 1 at once, where the weight, and so the pmf, is nonzero.
-    nonzero = weights != 0.0
-    x, n = nonzero.nonzero()
+            terms.append(at_zero * (log_fact[0] - log_fact[m] - slope[symbol] * (0 - m)))
     m = centre[x]
-    binom = t / n * weights[nonzero]
-    terms += (binom * (log_fact[n] - log_fact[m] - slope[x] * (n - m))).tolist()
-    return math.fsum(terms)
+    binom = t / n * w
+    return terms + (binom * (log_fact[n] - log_fact[m] - slope[x] * (n - m))).tolist()
 
 
-def one_step_ntic_from_weights(weights: np.ndarray) -> float:
-    """Expected one-step closure from a ``last_count_weights`` table: E[log(c_x / t)]."""
+def expected_values(
+    phi: CategoricalParam, t: int, quantities: Sequence[str], beliefs: tuple | None = None
+) -> dict[str, float]:
+    """Expected quantities at time t >= 1 (nats), keyed in the order of ``quantities``.
+
+    Builds ``last_count_weights(phi, t)`` and takes its nonzero entries
+    (x, n, w) once; each quantity is one ``math.fsum`` of terms at them:
+
+    * ``count_entropy``: the centred terms of ``_count_entropy_terms``;
+    * ``ntic``: that sum minus ``symbol_entropy(phi)``;
+    * ``one_step_ntic``: w * log(n / t);
+    * ``info_gain`` and ``surprise``: w * gain[x, n] and w * surprise[x, n],
+      from ``beliefs``, the (gain, surprise) pair of ``bayes.belief_tables``
+      at this t.  Each table must have the weights' (K, t + 1) shape, or
+      ``AlphabetMismatchError`` is raised; its column 0 is never read.
+    """
+    weights = last_count_weights(phi, t)
     t = weights.shape[1] - 1
-    nonzero = weights != 0.0
-    n = nonzero.nonzero()[1]  # the counts of the nonzero weights, in ``expectation``'s order
-    return math.fsum((weights[nonzero] * np.log(n / t)).tolist())
+    nonzero = weights != 0.0  # column 0 is all zero, so every n >= 1
+    x, n = nonzero.nonzero()
+    w = weights[nonzero]
+    for table in beliefs or ():
+        check_size("value table", table.shape, "weight table", weights.shape)
+    terms = {
+        "count_entropy": lambda: _count_entropy_terms(phi, t, x, n, w),
+        "one_step_ntic": lambda: (w * np.log(n / t)).tolist(),
+        "info_gain": lambda: (w * beliefs[0][x, n]).tolist(),
+        "surprise": lambda: (w * beliefs[1][x, n]).tolist(),
+    }
+
+    def value(quantity: str) -> float:
+        if quantity == "ntic":  # two roundings, as count_entropy(phi, t) - symbol_entropy(phi)
+            return value("count_entropy") - symbol_entropy(phi)
+        return math.fsum(terms[quantity]())
+
+    return {quantity: value(quantity) for quantity in quantities}
 
 
 def count_last_distribution(
@@ -222,13 +222,10 @@ def symbol_entropy(phi: CategoricalParam) -> float:
 
 
 def count_entropy(phi: CategoricalParam, t: int) -> float:
-    """Entropy (nats) of the count vector of a length-t trajectory.
-
-    ``count_entropy_from_weights`` over ``last_count_weights(phi, t)``.
-    """
+    """Entropy (nats) of the count vector of a length-t trajectory: one ``expected_values`` sum."""
     if check_at_least("t", t, 0) == 0:
         return 0.0  # the empty trajectory's count is certain
-    return count_entropy_from_weights(phi, last_count_weights(phi, t))
+    return expected_values(phi, t, ("count_entropy",))["count_entropy"]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +241,7 @@ def ntic(phi: CategoricalParam, t: int) -> float:
     table, which refuses t < 1.  The counter start never enters, so the
     result is independent of it by construction.
     """
-    return count_entropy_from_weights(phi, last_count_weights(phi, t)) - symbol_entropy(phi)
+    return expected_values(phi, t, ("ntic",))["ntic"]
 
 
 def pointwise_ntic_from_count(phi: CategoricalParam, c: CountVector, x: int) -> float:
@@ -295,7 +292,6 @@ def one_step_ntic(phi: CategoricalParam, t: int) -> float:
 
     Expectation of ``one_step_pointwise_ntic`` under the trajectory
     distribution, which depends on a trajectory only through its last
-    symbol x and c_x: ``one_step_ntic_from_weights`` over
-    ``last_count_weights(phi, t)``.
+    symbol x and c_x: the ``one_step_ntic`` of ``expected_values``.
     """
-    return one_step_ntic_from_weights(last_count_weights(phi, t))
+    return expected_values(phi, t, ("one_step_ntic",))["one_step_ntic"]

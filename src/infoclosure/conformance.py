@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .bayes import full_past_info_gain_from_count
-from .closure import (
-    count_entropy_from_weights,
-    last_count_weights,
-    one_step_ntic_from_weights,
-    symbol_entropy,
-)
+from .closure import expected_values
 from .errors import DomainError, ResourceCapError
 from .oracle import (
     build_joint,
@@ -129,10 +124,8 @@ def _ntic_point(k: int, phi_probs: tuple[float, ...], t: int) -> list[Conformanc
     phi = CategoricalParam(phi_probs)
     records: list[ConformanceRecord] = []
 
-    # Both closed forms from one last-count table: ntic's count entropy and one_step_ntic.
-    weights = last_count_weights(phi, t)
-    closed_full = count_entropy_from_weights(phi, weights) - symbol_entropy(phi)
-    closed_one = one_step_ntic_from_weights(weights)
+    # Both closed forms from one last-count table, in the order asked.
+    closed_full, closed_one = expected_values(phi, t, ("ntic", "one_step_ntic")).values()
 
     # One joint and one oracle evaluation per (phi, t): the definitional sums
     # group the trajectories alike for every start and never read it.

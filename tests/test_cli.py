@@ -23,6 +23,9 @@ import infoclosure.conformance as conformance
 from infoclosure import CategoricalParam, ResourceCapError, ntic, one_step_ntic
 
 
+Q4 = ["ntic", "one_step_ntic", "info_gain", "surprise"]
+
+
 def run_cli(*args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -95,6 +98,20 @@ class TestCurve:
         assert rc == 0
         assert [row[-1] for row in rows] == ["exact", "exact", "mc", "mc"]
 
+    def test_json_rows_follow_the_requested_quantity_order(self, monkeypatch):
+        # Rows 1 and 2 are exact and rows 3 and 4 sampled; both kinds key their
+        # cells in the order of --quantities, which ``columns`` lists.
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 6)
+        rc, out, _ = run_cli(
+            "curve", "--phi", "0.3,0.7", "--xi0", "1,2", "--tmax", "4", "--samples", "50",
+            "--quantities", ",".join(reversed(Q4)), "--format", "json",
+        )
+        document = json.loads(out)
+        assert rc == 0
+        assert document["columns"] == ["t", *reversed(Q4), "method"]
+        assert [row["method"] for row in document["rows"]] == ["exact", "exact", "mc", "mc"]
+        assert all(list(row) == document["columns"] for row in document["rows"])
+
     def test_monte_carlo_estimates_track_exact_values(self, monkeypatch):
         # Taken before the patch: the cap refuses the library's t = 4 table too.
         exact = ntic(CategoricalParam((0.5, 0.5)), 4)
@@ -119,7 +136,7 @@ class TestCurve:
             raise AssertionError("a row was computed before the refusal")
 
         monkeypatch.setattr(closure, "TABLE_TERM_CAP", 150)
-        monkeypatch.setattr(cli, "last_count_weights", no_row)
+        monkeypatch.setattr(closure, "last_count_weights", no_row)
         monkeypatch.setattr(cli, "sample_trajectories", no_row)
         rc, out, err = run_cli(
             "curve", "--phi", ",".join(["0.1"] * 10), "--tmax", "16", "--samples", samples
@@ -199,14 +216,14 @@ class TestExactSwitch:
     """Row t is exact exactly when ``last_count_weights`` can build its table."""
 
     def test_one_symbol_is_refused_before_any_table(self, monkeypatch):
-        real, built = cli.last_count_weights, []
+        real, built = closure.last_count_weights, []
 
         def spy(phi, t):
             built.append(t)
             return real(phi, t)
 
         monkeypatch.setattr(closure, "TABLE_TERM_CAP", 10)
-        monkeypatch.setattr(cli, "last_count_weights", spy)
+        monkeypatch.setattr(closure, "last_count_weights", spy)
         rc, out, err = run_cli("curve", "--phi", "1", "--tmax", "20")
         assert (rc, out, built) == (4, "", [])
         assert "11 entries" in err and "cap of 10" in err and "--samples" in err
@@ -337,19 +354,44 @@ class TestFlags:
         assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize(
-        "command, place",
+        "command",
         [
-            (("curve", "--phi", "0.5,0.5", "--tmax", "2"), "missing/x.csv"),
-            (("conformance", "--max-k", "2", "--max-t", "2"), "."),
+            ("curve", "--phi", "0.5,0.5", "--xi0", "1,1", "--tmax", "2", "--quantities", ",".join(Q4)),
+            ("trajectory", "--traj", "0,1", "--xi0", "1,1", "--phi", "0.5,0.5"),
+            ("conformance", "--max-k", "2", "--max-t", "2"),
         ],
-        ids=["missing-directory", "a-directory"],
+        ids=["curve", "trajectory", "conformance"],
     )
-    def test_an_out_path_that_cannot_be_written_is_a_usage_error(self, tmp_path, command, place):
+    @pytest.mark.parametrize("place", ["missing/x.csv", "."], ids=["missing-directory", "a-directory"])
+    def test_an_out_path_that_cannot_be_written_is_a_usage_error(
+        self, monkeypatch, tmp_path, command, place
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a row or the grid ran before the path was checked")
+
+        # The first call of a curve row, a trajectory row and the grid.
+        monkeypatch.setattr(closure, "last_count_weights", no_work)
+        monkeypatch.setattr(cli, "one_step_info_gain_from_count", no_work)
+        monkeypatch.setattr(cli, "run_conformance", no_work)
         path = str(tmp_path / place)
-        rc, _, err = run_cli(*command, "--out", path)
-        assert rc == 1
+        rc, out, err = run_cli(*command, "--out", path)
+        assert (rc, out) == (1, "")
         assert err.startswith(f"error: cannot write {path!r}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_run_refused_after_the_out_check_leaves_the_path_as_it_was(
+        self, monkeypatch, tmp_path
+    ):
+        # The check makes a missing file and removes it again; an existing one
+        # is opened for append only, so a refused run neither makes nor empties it.
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 10)
+        argv = ("curve", "--phi", "1", "--tmax", "20", "--out")
+        missing, kept = tmp_path / "new.csv", tmp_path / "old.csv"
+        kept.write_text("earlier output\n")
+        assert run_cli(*argv, str(missing))[0] == 4
+        assert run_cli(*argv, str(kept))[0] == 4
+        assert not missing.exists()
+        assert kept.read_text() == "earlier output\n"
 
     def test_readme_lists_the_flags_each_command_accepts(self):
         assert readme_flags() == parser_flags()
@@ -378,8 +420,6 @@ def parser_flags():
         for name, parser in commands.choices.items()
     }
 
-
-Q4 = ["ntic", "one_step_ntic", "info_gain", "surprise"]
 
 # (command, config file, the same values as flags, flags that override the file)
 VALID_CONFIGS = [

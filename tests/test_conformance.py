@@ -8,6 +8,7 @@ import json
 import pytest
 
 import infoclosure.cli as cli
+import infoclosure.closure as closure
 import infoclosure.conformance as conformance
 import infoclosure.oracle as oracle
 from infoclosure import (
@@ -20,7 +21,7 @@ from infoclosure import (
     run_conformance,
 )
 from infoclosure.bayes import belief_tables
-from infoclosure.closure import expectation, last_count_weights
+from infoclosure.closure import expected_values, last_count_weights
 
 
 class TestRunner:
@@ -91,7 +92,7 @@ class TestRunner:
             tables.append((phi.probs, t))
             return last_count_weights(phi, t)
 
-        monkeypatch.setattr(conformance, "last_count_weights", counting_table)
+        monkeypatch.setattr(closure, "last_count_weights", counting_table)
         result = run_conformance(max_k=2, max_t=3)
         assert len(tables) == len(set(tables)) == 5 * 3
         # The shared table gives the same closed forms as the two functions.
@@ -145,11 +146,12 @@ class TestRunner:
             for probs in conformance.PHI_GRIDS[k]:
                 phi = CategoricalParam(probs)
                 for t in range(1, 9):
-                    weights = last_count_weights(phi, t)
-                    gains = []
-                    for xi0 in conformance.XI0_GRIDS[k]:
-                        gain, _ = belief_tables(Hyperparameter(xi0), t)
-                        gains.append(expectation(weights, gain))
+                    gains = [
+                        expected_values(
+                            phi, t, ("info_gain",), belief_tables(Hyperparameter(xi0), t)
+                        )["info_gain"]
+                        for xi0 in conformance.XI0_GRIDS[k]
+                    ]
                     spread = max(gains) - min(gains)
                     assert spread > conformance.XI0_SPREAD_TOL
                     record = conformance._record(

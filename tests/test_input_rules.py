@@ -29,7 +29,7 @@ PHI = CategoricalParam((0.4, 0.6))
 XI0 = Hyperparameter((1, 2))
 XI0_1 = Hyperparameter((1,))
 XI0_3 = Hyperparameter((1, 1, 1))
-W_3 = closure.last_count_weights(CategoricalParam((0.2, 0.3, 0.5)), 4)
+PHI_3 = CategoricalParam((0.2, 0.3, 0.5))
 C = CountVector((1, 1))
 C_3 = CountVector((1, 1, 1))
 SYMBOL = "symbol 5 outside alphabet of size 2"
@@ -74,12 +74,16 @@ CASES = [
     ("pointwise_ntic_from_count_size",
      lambda: closure.pointwise_ntic_from_count(PHI, C_3, 0),
      "count vector of size 3 does not match parameter of size 2"),
-    # A (1, 5) table would broadcast over the three weight rows and return a number.
-    ("expectation_one_row", lambda: closure.expectation(W_3, bayes.belief_tables(XI0_1, 4)[0]),
+    # The kernel's belief tables: a (1, 5) table would broadcast over the three
+    # weight rows and return a number.
+    ("expectation_one_row",
+     lambda: closure.expected_values(PHI_3, 4, ("info_gain",), bayes.belief_tables(XI0_1, 4)),
      "value table of size (1, 5) does not match weight table of size (3, 5)"),
-    ("expectation_rows", lambda: closure.expectation(W_3, bayes.belief_tables(XI0, 4)[0]),
+    ("expectation_rows",
+     lambda: closure.expected_values(PHI_3, 4, ("surprise",), bayes.belief_tables(XI0, 4)),
      "value table of size (2, 5) does not match weight table of size (3, 5)"),
-    ("expectation_columns", lambda: closure.expectation(W_3, np.zeros((3, 4))),
+    ("expectation_columns",
+     lambda: closure.expected_values(PHI_3, 4, ("info_gain",), (np.zeros((3, 4)),) * 2),
      "value table of size (3, 4) does not match weight table of size (3, 5)"),
     ("build_joint", lambda: oracle.build_joint(PHI, XI0_3, 2),
      "hyperparameter of size 3 does not match parameter of size 2"),

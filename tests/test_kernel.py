@@ -226,6 +226,26 @@ def full_one_step_ntic(weights):
     return math.fsum((weights[:, 1:] * log_frequency).ravel().tolist())
 
 
+def full_table(phi, t):
+    """The last-count table, each row rescaled by the ``fsum`` of all its entries, zeros too."""
+    weights = np.zeros((phi.size, t + 1))
+    log_fact = process.log_factorials(t)
+    n = np.arange(1, t + 1)
+    for x, p in enumerate(phi.probs):
+        if p == 1.0:
+            weights[x, t] = 1.0
+        elif p > 0.0:
+            log_pmf = log_fact[t - 1] - log_fact[n - 1] - log_fact[t - n]
+            row = np.exp(log_pmf + n * math.log(p) + (t - n) * math.log1p(-p))
+            weights[x, 1:] = row * (p / math.fsum(row.tolist()))
+    return weights
+
+
+def full_expectation(weights, table):
+    """The sum of weights[x, n] * table[x, n] with a term for every symbol and count n >= 1."""
+    return math.fsum((weights[:, 1:] * table[:, 1:]).ravel().tolist())
+
+
 class TestNonzeroTerms:
     @pytest.mark.parametrize(
         "probs, t, zero_share",
@@ -238,32 +258,67 @@ class TestNonzeroTerms:
         ],
     )
     def test_sums_over_nonzero_weights_equal_the_full_sums_bit_for_bit(
-        self, monkeypatch, probs, t, zero_share
+        self, probs, t, zero_share
     ):
+        # The kernel builds terms at the nonzero weights only; the references
+        # build every column, zero weights included.
         phi = CategoricalParam(probs)
         xi0 = Hyperparameter((0.5,) * phi.size)
-        gain, _ = bayes.belief_tables(xi0, min(t, 60))
-
-        def sums():
-            weights = closure.last_count_weights(phi, t)
-            row = closure.last_count_weights(phi, min(t, 60))
-            values = [
-                closure.count_entropy_from_weights(phi, weights),
-                closure.one_step_ntic_from_weights(weights),
-                closure.expectation(row, gain),
-            ]
-            return weights, [value.hex() for value in values]
-
-        weights, masked = sums()
+        beliefs = bayes.belief_tables(xi0, t)
+        weights = closure.last_count_weights(phi, t)
         assert (weights == 0.0).mean() > zero_share
-        # The count entropy and the one-step closure build terms at nonzero
-        # weights only; the references above build every column.
-        full = [full_count_entropy(phi, weights), full_one_step_ntic(weights)]
-        assert masked[:2] == [value.hex() for value in full]
-        monkeypatch.setattr(closure, "_nonzero_terms", lambda terms, _: terms.ravel().tolist())
-        full_weights, unmasked = sums()
-        assert weights.tobytes() == full_weights.tobytes()
-        assert masked == unmasked
+        assert weights.tobytes() == full_table(phi, t).tobytes()
+        kernel = closure.expected_values(
+            phi, t, ("count_entropy", "one_step_ntic", "info_gain", "surprise"), beliefs
+        )
+        full = [
+            full_count_entropy(phi, weights),
+            full_one_step_ntic(weights),
+            *(full_expectation(weights, table) for table in beliefs),
+        ]
+        assert [value.hex() for value in kernel.values()] == [value.hex() for value in full]
+
+
+class TestOneMaskPerRow:
+    def spy(self, monkeypatch):
+        """Count the tables built, their scans for nonzero entries and the belief tables."""
+        calls = {"tables": 0, "nonzero": 0, "beliefs": 0}
+        table, beliefs = closure.last_count_weights, cli.belief_tables
+
+        class ScannedTable(np.ndarray):
+            # A scan is ``nonzero`` (``np.nonzero`` calls it) or a ``!=`` mask,
+            # which comes back as a plain array, so its own ``nonzero`` is free.
+            def nonzero(self):
+                calls["nonzero"] += 1
+                return super().nonzero()
+
+            def __ne__(self, other):
+                calls["nonzero"] += 1
+                return np.asarray(super().__ne__(other))
+
+        def counting_table(*args):
+            calls["tables"] += 1
+            return table(*args).view(ScannedTable)
+
+        def counting_beliefs(*args):
+            calls["beliefs"] += 1
+            return beliefs(*args)
+
+        monkeypatch.setattr(closure, "last_count_weights", counting_table)
+        monkeypatch.setattr(cli, "belief_tables", counting_beliefs)
+        return calls
+
+    def test_a_row_of_all_four_quantities_scans_one_table_once(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        row = curve_row(CategoricalParam((0.2, 0.3, 0.5)), Hyperparameter((1, 2, 3)), 40)
+        assert list(row) == ["t", *QUANTITIES, "method"]
+        assert calls == {"tables": 1, "nonzero": 1, "beliefs": 1}
+
+    def test_a_closure_row_builds_no_belief_tables(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        phi = CategoricalParam((0.2, 0.3, 0.5))
+        cli._curve_exact_row(phi, Hyperparameter((1, 2, 3)), ("ntic", "one_step_ntic"), 40)
+        assert calls == {"tables": 1, "nonzero": 1, "beliefs": 0}
 
 
 class TestWorkPerRow:
