@@ -68,6 +68,7 @@ from .process import (
     CategoricalParam,
     CountVector,
     Hyperparameter,
+    check_at_least,
     check_size,
     sample_trajectories,
     validate_trajectory,
@@ -92,6 +93,9 @@ CURVE_QUANTITIES = {
     "info_gain": lambda phi, xi0, c, x: one_step_info_gain_from_count(xi0, c, x),
     "surprise": lambda phi, xi0, c, x: marginal_surprise_from_count(xi0, c, x),
 }
+
+#: The curve quantities read from the belief tables, so the ones that need xi0.
+_BELIEF_QUANTITIES = frozenset({"info_gain", "surprise"})
 
 TRAJECTORY_COLUMNS = (
     "pointwise_ntic",
@@ -342,7 +346,7 @@ def _check_sizes(phi: CategoricalParam | None, xi0: Hyperparameter | None) -> No
 
 def _curve_exact_row(phi: CategoricalParam, xi0, quantities: Sequence[str], t: int) -> dict:
     """One ``expected_values`` call; the belief tables are built only for a belief quantity."""
-    beliefs = belief_tables(xi0, t) if {"info_gain", "surprise"} & set(quantities) else None
+    beliefs = belief_tables(xi0, t) if _BELIEF_QUANTITIES.intersection(quantities) else None
     return {"t": t, **expected_values(phi, t, quantities, beliefs), "method": "exact"}
 
 
@@ -364,19 +368,18 @@ def cmd_curve(args: argparse.Namespace) -> int:
     phi, t_max, quantities = args.phi, args.tmax, args.quantities
     if phi is None:
         raise UsageError("curve needs phi (flag --phi or config key 'phi')")
-    if t_max is None or t_max < 1:
-        raise UsageError(f"curve needs tmax >= 1, got {t_max!r}")
-    if args.samples < 0:
-        raise UsageError(f"invalid samples: must be >= 0, got {args.samples}")
+    if t_max is None:
+        raise UsageError("curve needs tmax (flag --tmax or config key 'tmax')")
+    check_at_least("tmax", t_max, 1)
+    check_at_least("samples", args.samples, 0)
     _check_sizes(phi, args.xi0)
-    if ("info_gain" in quantities or "surprise" in quantities) and args.xi0 is None:
+    if _BELIEF_QUANTITIES.intersection(quantities) and args.xi0 is None:
         raise UsageError("quantities info_gain and surprise need xi0")
 
     # Row t is exact while last_count_weights can build its K * (t + 1) table.
     first_mc = closure.first_capped_row(phi.size)
     if first_mc <= t_max:
-        if args.seed < 0:
-            raise UsageError(f"invalid seed: Monte Carlo rows need seed >= 0, got {args.seed}")
+        check_at_least("seed", args.seed, 0)
         if args.samples < 1:
             raise ResourceCapError(
                 f"the last-count table at t={first_mc} would hold "

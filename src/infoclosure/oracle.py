@@ -27,20 +27,23 @@ does.  The rows thus have four groupings, ``state``, ``prev``, ``last`` and
 ``pair``, the last serving (last, state), (last, prev), (state, prev) and the
 triple alike.  A row's key is one integer code, with a digit of radix t + 1
 per count of each state it names and a digit of radix K for the last symbol,
-so each grouping is one sort, and each group's probability is one exactly
-rounded ``math.fsum`` over its members, independent of enumeration order.
-The per-row sums (full-past mutual information, unsimplified transfer
-entropy) are numpy term arrays, each reduced with one ``math.fsum`` as well.
+so each grouping is one sort.  A table owns one array per grouping, each
+group's probability one exactly rounded ``math.fsum`` over its members,
+independent of enumeration order, and ``JointTable._marginal`` alone reads
+it, at a row, an array of rows or every row.  Each definitional sum is one
+numpy term array, over the rows or over the ``pair`` groups' representative
+rows, reduced with one ``math.fsum``.
 
 A counter state is the start xi0 plus the counts, a one-to-one relabelling,
 so the groups need no state labels, and neither they nor the definitional
 sums read the start: one table per (phi, t) serves every start.  The
-pointwise oracle reads each marginal at the group of the trajectory's own
-row.  Nor do the rows and their groups read phi:
-they depend on the alphabet size K, the support of phi and t alone.  The
-enumeration and the four sorts form a layout, kept for the last
-(K, support, t) asked for, and a table sums its own probabilities over the
-layout's groups, so one layout per (K, support, t) serves every phi.
+pointwise oracle reads each marginal at the trajectory's own row.  Nor do
+the rows and their groups read phi: they depend on the alphabet size K, the
+support of phi and t alone.  The enumeration and the four sorts form a
+layout, kept for the last (K, support, t) asked for, and a table sums its
+own probabilities over the layout's groups, so one layout per
+(K, support, t) serves every phi.  Its symbols are of the smallest unsigned
+dtype that holds K - 1, uint8 up to K = 256.
 
 The quadrature is numpy alone: a tanh-sinh rule whose Beta densities are
 normalised with the standard library's ``math.lgamma`` rather than this
@@ -107,18 +110,10 @@ class _Partition(NamedTuple):
     rep: np.ndarray  # (groups,) one row of each group
 
 
-class _Grouping(NamedTuple):
-    """One grouping of a joint table's rows and each group's probability."""
-
-    inverse: np.ndarray  # (rows,) group of each row
-    rep: np.ndarray  # (groups,) one row of each group
-    probs: np.ndarray  # (groups,) probability of each group
-
-
 class _Layout(NamedTuple):
     """The rows of every joint of one (K, support, t) and their four partitions."""
 
-    trajectories: np.ndarray  # (n, t) int8
+    trajectories: np.ndarray  # (n, t) of the smallest dtype that holds K - 1
     counts: np.ndarray  # (n, k) int16
     partitions: Mapping[str, _Partition]
 
@@ -165,12 +160,13 @@ def _layout(k: int, support: tuple[int, ...], t: int) -> _Layout:
     m = len(support)
     n = m**t
     idx = np.arange(n, dtype=np.int64)
-    trajs = np.empty((n, t), dtype=np.int8)
+    # Support positions and symbols both lie in 0..k - 1: uint8 for k <= 256.
+    trajs = np.empty((n, t), dtype=np.min_scalar_type(k - 1))
     divisor = n
     for j in range(t):
         divisor //= m
         trajs[:, j] = (idx // divisor) % m
-    support_map = np.asarray(support, dtype=np.int8)
+    support_map = np.asarray(support, dtype=trajs.dtype)
     trajs = support_map[trajs]
 
     counts = np.empty((n, k), dtype=np.int16)
@@ -192,11 +188,6 @@ def _layout(k: int, support: tuple[int, ...], t: int) -> _Layout:
     return _Layout(_frozen(trajs), _frozen(counts), types.MappingProxyType(partitions))
 
 
-def _at(grouping: _Grouping, rows: np.ndarray) -> np.ndarray:
-    """Probability of the group each of ``rows`` belongs to."""
-    return grouping.probs[grouping.inverse[rows]]
-
-
 @dataclass
 class JointTable:
     """Joint distribution of (trajectory, previous counter state, counter state).
@@ -206,10 +197,10 @@ class JointTable:
     stored, in lexicographic order of the trajectories over phi's support.
     The rows, their counts and their groupings come from a layout that
     tables of the same (K, support, t) share, so ``trajectories`` and
-    ``counts`` are read-only; only ``probs`` is the table's own.  The table
-    holds no start: the row groupings depend on neither phi nor the start.
-    There are four: ``state``, ``prev``, ``last`` and ``pair``, which every
-    key naming two or three of them shares, since any two fix the third.
+    ``counts`` are read-only; ``probs`` and its group sums are the table's
+    own.  The table holds no start: the row groupings depend on neither phi
+    nor the start.  There are four: ``state``, ``prev``, ``last`` and
+    ``pair``, which every key naming two or three of them shares.
     """
 
     k: int
@@ -241,16 +232,19 @@ class JointTable:
         return p
 
     # -- groupings ---------------------------------------------------------
-    def _ensure_groups(self) -> dict[str, _Grouping]:
+    def _ensure_groups(self) -> dict[str, np.ndarray]:
         """Each grouping's group probabilities: one ``math.fsum`` over each group's rows."""
         groups = self._groups
         if not groups:
             for name, part in self._layout.partitions.items():
-                members = self.probs[part.order].tolist()
+                probs = self.probs[part.order].tolist()
                 bounds = part.bounds
-                sums = np.array([math.fsum(members[a:b]) for a, b in zip(bounds, bounds[1:])])
-                groups[name] = _Grouping(part.inverse, part.rep, sums)
+                groups[name] = np.array([math.fsum(probs[a:b]) for a, b in zip(bounds, bounds[1:])])
         return groups
+
+    def _marginal(self, name: str, rows) -> np.ndarray:
+        """Probability of the ``name`` group each of ``rows`` (index, array or slice) belongs to."""
+        return self._ensure_groups()[name][self._layout.partitions[name].inverse[rows]]
 
 
 def exceeds_joint_cap(m: int, t: int) -> bool:
@@ -314,40 +308,16 @@ def build_joint(phi: CategoricalParam, xi0: Hyperparameter, t: int) -> JointTabl
 
 def oracle_mutual_information(joint: JointTable, mode: Mode) -> float:
     """I(whole past : state) or I(last observation : state) by definitional sums."""
-    groups = joint._ensure_groups()
-    state = groups["state"]
     if mode == "full_past":
-        p = joint.probs
         # p(trajectory, state) equals p(trajectory): the state is determined.
-        p_joint = p
-        terms = p_joint * np.log(p_joint / (p * state.probs[state.inverse]))
-        return math.fsum(terms.tolist())
-    if mode == "one_step":
-        last_state = groups["pair"]
-        p_joint = last_state.probs
-        rows = last_state.rep
-        terms = p_joint * np.log(p_joint / (_at(groups["last"], rows) * _at(state, rows)))
-        return math.fsum(terms.tolist())
-    raise DomainError(f"unknown mode {mode!r}, expected 'full_past' or 'one_step'")
-
-
-def _te_simplified(groups: dict[str, _Grouping]) -> float:
-    triple = state_pair = last_prev = groups["pair"]
-    p = triple.probs
-    rows = triple.rep
-    num = _at(groups["prev"], rows) * p
-    den = _at(state_pair, rows) * _at(last_prev, rows)
-    return math.fsum((p * np.log(num / den)).tolist())
-
-
-def _te_unsimplified(joint: JointTable, groups: dict[str, _Grouping]) -> float:
-    prev, state_pair = groups["prev"], groups["pair"]
-    p = joint.probs
-    # p(state, trajectory, previous) and p(trajectory, previous) both
-    # equal p(trajectory): the states are determined.
-    num = prev.probs[prev.inverse] * p
-    den = state_pair.probs[state_pair.inverse] * p
-    return math.fsum((p * np.log(num / den)).tolist())
+        rows, p_joint, p_past = slice(None), joint.probs, joint.probs
+    elif mode == "one_step":
+        rows = joint._layout.partitions["pair"].rep
+        p_joint, p_past = joint._ensure_groups()["pair"], joint._marginal("last", rows)
+    else:
+        raise DomainError(f"unknown mode {mode!r}, expected 'full_past' or 'one_step'")
+    terms = p_joint * np.log(p_joint / (p_past * joint._marginal("state", rows)))
+    return math.fsum(terms.tolist())
 
 
 def oracle_transfer_entropy(joint: JointTable) -> float:
@@ -366,9 +336,16 @@ def oracle_transfer_entropy(joint: JointTable) -> float:
     grouping; the tests check it against each key's row partition
     recomputed from the trajectories.
     """
-    groups = joint._ensure_groups()
-    simplified = _te_simplified(groups)
-    unsimplified = _te_unsimplified(joint, groups)
+    # Against the last observation, over the ``pair`` groups: the triple,
+    # (state, previous) and (last, previous) keys all read ``pair``.  Against
+    # the whole past, over the rows: p(state, trajectory, previous) and
+    # p(trajectory, previous) both equal p(trajectory), the states being determined.
+    pair_rows = joint._layout.partitions["pair"].rep
+    sums = []
+    for rows, p in ((pair_rows, joint._ensure_groups()["pair"]), (slice(None), joint.probs)):
+        terms = p * np.log(joint._marginal("prev", rows) * p / (joint._marginal("pair", rows) * p))
+        sums.append(math.fsum(terms.tolist()))
+    simplified, unsimplified = sums
     if abs(simplified - unsimplified) > _DSEP_TOL:
         raise InternalConsistencyError(
             f"transfer entropy against the last observation ({simplified!r}) and "
@@ -398,13 +375,10 @@ def oracle_pointwise_ntic(joint: JointTable, traj: Sequence[int], mode: Mode) ->
     row = 0
     for x in traj:
         row = row * len(support) + support.index(x)
-    groups = joint._ensure_groups()
-
-    def marginal(name: str) -> float:
-        return float(_at(groups[name], row))
-
-    p_state, p_prev, p_last = marginal("state"), marginal("prev"), marginal("last")
-    p_last_state = p_triple = p_state_pair = p_last_prev = marginal("pair")
+    p_state, p_prev, p_last, p_pair = (
+        float(joint._marginal(name, row)) for name in ("state", "prev", "last", "pair")
+    )
+    p_last_state = p_triple = p_state_pair = p_last_prev = p_pair
 
     if mode == "full_past":
         # log p(state | whole past) - log p(state)

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import infoclosure.cli as cli
 import infoclosure.closure as closure
 import infoclosure.conformance as conformance
-from infoclosure import CategoricalParam, ResourceCapError, ntic, one_step_ntic
+import infoclosure.process as process
+from infoclosure import CategoricalParam, DomainError, ResourceCapError, ntic, one_step_ntic
 
 
 Q4 = ["ntic", "one_step_ntic", "info_gain", "surprise"]
@@ -153,6 +154,33 @@ class TestCurve:
         assert (rc, out) == (1, "")
         assert err.startswith("error:") and "seed" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--tmax", "0"), "tmax must be an integer >= 1, got 0"),
+            (("--tmax", "2", "--samples", "-1"), "samples must be an integer >= 0, got -1"),
+            # Row 3 is a Monte Carlo row under the patched cap, so it reads the seed.
+            (("--tmax", "3", "--samples", "10", "--seed", "-1"),
+             "seed must be an integer >= 0, got -1"),
+        ],
+        ids=["tmax", "samples", "seed"],
+    )
+    def test_integer_rules_are_the_librarys(self, monkeypatch, argv, message):
+        refused = []
+
+        def spy(what, value, least):
+            try:
+                return process.check_at_least(what, value, least)
+            except DomainError:
+                refused.append(what)
+                raise
+
+        monkeypatch.setattr(closure, "TABLE_TERM_CAP", 6)
+        monkeypatch.setattr(cli, "check_at_least", spy)
+        rc, out, err = run_cli("curve", "--phi", "0.5,0.5", *argv)
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+        assert refused == [message.split()[0]]
+
     def test_monte_carlo_budget_bounds_samples_times_tmax(self, monkeypatch):
         monkeypatch.setattr(closure, "TABLE_TERM_CAP", 6)
         monkeypatch.setattr(cli, "MC_BUDGET_BYTES", 24 * 200 * 4)
@@ -206,7 +234,8 @@ class TestCurve:
 
     def test_usage_errors(self):
         assert run_cli("curve", "--phi", "0.5,0.6", "--tmax", "2")[0] == 1
-        assert run_cli("curve", "--phi", "0.5,0.5")[0] == 1  # missing tmax
+        missing_tmax = "error: curve needs tmax (flag --tmax or config key 'tmax')\n"
+        assert run_cli("curve", "--phi", "0.5,0.5") == (1, "", missing_tmax)
         assert run_cli("curve", "--phi", "0.5,0.5", "--tmax", "2", "--quantities", "x")[0] == 1
         assert run_cli("curve", "--phi", "0.5,0.5", "--xi0", "1,1,1", "--tmax", "2")[0] == 1
         assert run_cli("nonsense")[0] == 1

@@ -111,7 +111,7 @@ class TestBuildJoint:
         # previous state plus a one-hot of the last symbol, with the
         # previous state counted afresh from the first t - 1 symbols.
         joint = build_joint(CategoricalParam((0.3, 0.7)), Hyperparameter((0.5, 2)), 3)
-        triple = joint._ensure_groups()["pair"]
+        triple = joint._layout.partitions["pair"]
         for rep in triple.rep.tolist():
             traj = joint.trajectories[rep].tolist()
             prev = count(traj[:-1], joint.k).counts
@@ -120,7 +120,30 @@ class TestBuildJoint:
             expected[traj[-1]] = 1
             assert diff == expected
         assert len(triple.rep) == 6  # (count of symbol 0 in the first 2, last symbol)
-        assert math.fsum(triple.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
+        pair_probs = joint._ensure_groups()["pair"].tolist()
+        assert math.fsum(pair_probs) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "probs, t",
+        [((0.5,) + (0.0,) * 128 + (0.5,), 3), ((1 / 150,) * 150, 2)],
+        ids=["support-0-129", "uniform-150"],
+    )
+    def test_symbols_past_127_are_kept(self, probs, t):
+        # Support positions and symbols past 127 used to wrap in int8.
+        phi = CategoricalParam(probs)
+        xi0 = Hyperparameter((1,) * phi.size)
+        joint = build_joint(phi, xi0, t)
+        support = phi.support
+        assert len(joint) == len(support) ** t
+        assert 129 in joint.trajectories
+        assert joint.trajectories[-1].tolist() == [support[-1]] * t
+        rows = joint.trajectories.tolist()
+        assert joint.counts[:, 129].tolist() == [row.count(129) for row in rows]
+        assert oracle_mutual_information(joint, "full_past") == pytest.approx(
+            count_entropy(phi, t), abs=1e-13
+        )
+        one_step = oracle_ntic(phi, xi0, t, "one_step")
+        assert one_step == pytest.approx(one_step_ntic(phi, t), abs=1e-13)
 
     def test_underflowing_row_is_refused(self):
         # 1e-200 squared underflows to 0, which no definitional log-ratio takes.
@@ -414,7 +437,7 @@ class TestMarginals:
         # far beyond 64 bits.
         phi = CategoricalParam((1 / 50,) * 50)
         joint = build_joint(phi, Hyperparameter((1,) * 50), 2)
-        state = joint._ensure_groups()["state"]
+        state = joint._layout.partitions["state"]
         states = [tuple(c) for c in joint.counts[state.rep].tolist()]
         assert len(states) == 50 * 51 // 2
         # Groups come in ascending key order, which a wrapped code would scramble.
@@ -617,8 +640,7 @@ class TestSharedLayout:
         assert again.probs.tolist() == first.probs.tolist()
         groups, regrouped = first._ensure_groups(), again._ensure_groups()
         assert set(regrouped) == set(groups)
-        for name, grouping in groups.items():
-            assert regrouped[name].inverse.tolist() == grouping.inverse.tolist()
-            assert [p.hex() for p in regrouped[name].probs.tolist()] == [
-                p.hex() for p in grouping.probs.tolist()
-            ]
+        for name, probs in groups.items():
+            inverse = again._layout.partitions[name].inverse
+            assert inverse.tolist() == first._layout.partitions[name].inverse.tolist()
+            assert [p.hex() for p in regrouped[name].tolist()] == [p.hex() for p in probs.tolist()]
