@@ -57,7 +57,7 @@ import functools
 import math
 import types
 from dataclasses import dataclass, field
-from typing import Literal, Mapping, NamedTuple, Sequence
+from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,14 +123,14 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _partition(columns: Sequence[tuple[np.ndarray, int]]) -> _Partition:
-    """Group rows by a key of integer columns.
+def _partition(rows: int, columns: Iterable[tuple[np.ndarray, int]]) -> _Partition:
+    """Group ``rows`` rows by a key of integer columns, read one at a time.
 
     Column j takes values in 0..radix_j - 1.  The key's mixed-radix code is
     re-ranked densely whenever the next digit could overflow, and one sort of
     the codes numbers the groups in ascending key order.
     """
-    code = np.zeros(len(columns[0][0]), dtype=np.int64)
+    code = np.zeros(rows, dtype=np.int64)
     size = 1
     for column, radix in columns:
         if size * radix > _CODE_LIMIT:
@@ -174,16 +174,17 @@ def _layout(k: int, support: tuple[int, ...], t: int) -> _Layout:
         counts[:, x] = (trajs == x).sum(axis=1)
 
     last = trajs[:, -1].astype(np.int64)
-    prev = counts.astype(np.int64)
-    prev[np.arange(n), last] -= 1
     state = [(column, t + 1) for column in counts.T]
+    # The previous counts, one column at a time: an (n, k) copy would take
+    # four times the int16 counts.
+    prev = ((counts[:, x] - (last == x), t + 1) for x in range(k))
     partitions = {
-        "state": _partition(state),
-        "prev": _partition([(column, t + 1) for column in prev.T]),
-        "last": _partition([(last, k)]),
+        "state": _partition(n, state),
+        "prev": _partition(n, prev),
+        "last": _partition(n, [(last, k)]),
         # Any two of (last, state, prev) fix the third, so this also groups
         # the rows by (last, prev), (state, prev) and all three.
-        "pair": _partition([(last, k), *state]),
+        "pair": _partition(n, [(last, k), *state]),
     }
     return _Layout(_frozen(trajs), _frozen(counts), types.MappingProxyType(partitions))
 

@@ -2,8 +2,10 @@
 
 import argparse
 import ast
+import atexit
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -710,3 +712,74 @@ class TestEntryPoint:
                 else:
                     continue
                 assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, node.lineno)
+
+
+# The golden curve of tests/test_golden.py: 13 lines through the exact kernel.
+GOLDEN_CURVE = (
+    "curve", "--phi", "0.2,0.3,0.5", "--xi0", "0.37,2.5,1.13", "--tmax", "12",
+    "--quantities", "ntic,one_step_ntic,info_gain,surprise",
+)
+GOLDEN_CURVE_BYTES = (Path(__file__).parent / "golden" / "curve_xi0_nondyadic_nats.csv").read_bytes()
+
+
+def run_module(*args):
+    """``python -m infoclosure ARGS`` with stdout and stderr on pipes, as bytes."""
+    proc = subprocess.run([sys.executable, "-m", "infoclosure", *args], capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcessExit:
+    # Importing ``infoclosure.cli`` registers ``gc.freeze`` with ``atexit`` so
+    # that the interpreter's finalising collections skip the heap.
+
+    def test_the_heap_is_frozen_at_exit_and_not_before(self):
+        # Handlers run last-in first-out: the probe, registered first, runs
+        # after the hook.
+        script = (
+            "import atexit, contextlib, gc, io\n"
+            "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+            "import infoclosure.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['curve', '--phi', '0.5,0.5', '--tmax', '3'])\n"
+            "print('frozen after main:', gc.get_freeze_count() > 0)\n"
+            "raise SystemExit(rc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "frozen after main: False\nfrozen at exit: True\n"
+
+    def test_in_process_runs_register_once_and_freeze_nothing(self):
+        assert run_cli("curve", "--phi", "0.5,0.5", "--tmax", "2")[0] == 0
+        registered = atexit._ncallbacks()
+        for _ in range(3):
+            assert run_cli("curve", "--phi", "0.5,0.5", "--tmax", "2")[0] == 0
+        assert atexit._ncallbacks() == registered
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (GOLDEN_CURVE, (0, GOLDEN_CURVE_BYTES, b"")),
+            (
+                ("curve", "--phi", "0.5,0.6", "--tmax", "2"),
+                (1, b"", b"error: argument --phi: probabilities must sum to 1 within 1e-12, got 1.1\n"),
+            ),
+            (
+                ("witness", "--traj", "0,0", "--xi0-a", "2,2", "--xi0-b", "2,2"),
+                (2, b"", b"witness failed: identical priors cannot witness divergence; "
+                 b"pick two different priors\n"),
+            ),
+            (
+                ("conformance", "--max-k", "3", "--max-t", "20"),
+                (4, b"", b"resource cap: the grid's largest joint, k=3 and t=20, would enumerate "
+                 b"3**20 trajectories, exceeding the cap of 1000000; reduce max_t\n"),
+            ),
+        ],
+    )
+    def test_exit_codes_and_bytes(self, args, expected):
+        assert run_module(*args) == expected
+
+    def test_piped_stdout_equals_the_out_file(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert run_module(*GOLDEN_CURVE, "--out", str(out)) == (0, b"", b"")
+        assert out.read_bytes() == run_module(*GOLDEN_CURVE)[1] == GOLDEN_CURVE_BYTES

@@ -10,6 +10,7 @@ its reach, and quadrature against exact special values and against mpmath at
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -144,6 +145,19 @@ class TestBuildJoint:
         )
         one_step = oracle_ntic(phi, xi0, t, "one_step")
         assert one_step == pytest.approx(one_step_ntic(phi, t), abs=1e-13)
+
+    def test_peak_memory_stays_near_the_counts(self):
+        # 40**3 = 64 000 rows.  An (n, K) int64 copy of the counts alone
+        # would take four times their bytes.
+        k = 40
+        oracle._layout.cache_clear()
+        tracemalloc.start()
+        try:
+            joint = build_joint(CategoricalParam((1 / k,) * k), Hyperparameter((1,) * k), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * joint.counts.nbytes
 
     def test_underflowing_row_is_refused(self):
         # 1e-200 squared underflows to 0, which no definitional log-ratio takes.
