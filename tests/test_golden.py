@@ -153,6 +153,23 @@ def test_nondyadic_prior_trajectory_bytes():
     assert out == (GOLDEN / "trajectory_xi0_nondyadic_nats.csv").read_text(encoding="utf-8")
 
 
+def test_long_trajectory_bytes():
+    """700 symbols from the non-dyadic start, in bits.
+
+    The shorter files stop at 66 symbols; this one pins the rows past the
+    log m! table's doublings and along long digamma and log-gamma columns.
+    A trajectory row is evaluated with scalar ``math`` only, with no numpy
+    transcendental, so unlike the exact curve below this file does not
+    depend on which SIMD kernels numpy dispatches (ROADMAP item 2).
+    """
+    traj = ",".join(str((i * i + i // 3) % 3) for i in range(700))
+    out = stdout_of(
+        "trajectory", "--traj", traj, *NONDYADIC_XI0, "--phi", "0.2,0.3,0.5",
+        "--format", "json", "--units", "bits",
+    )
+    assert out == (GOLDEN / "trajectory_long_bits.json").read_text(encoding="utf-8")
+
+
 def test_nondyadic_prior_exact_curve_bytes():
     out = stdout_of(
         "curve", "--phi", "0.2,0.3,0.5", *NONDYADIC_XI0, "--tmax", "12",
