@@ -23,9 +23,17 @@ as the float of the exact rational is, so the values are the exact-rational
 ones with no ``Fraction`` arithmetic.  The digamma and log-gamma values sit
 on the unit-step lattices a_x + n and |xi0| + t.  The scalar functions and
 ``belief_tables`` read them from the columns each prior keeps, so a sweep
-over t, a trajectory's prefixes or a loop over Monte Carlo samples only
-evaluates points it has not met before.  Digamma is read at counts n >= 1
-only, so its columns start at a_x + 1.
+over t or a loop over Monte Carlo samples only evaluates points it has not
+met before.  Digamma is read at counts n >= 1 only, so its columns start at
+a_x + 1.
+
+``trajectory_table`` is one pass over a trajectory's prefixes: it checks
+the input once and builds each column it reads once, up to the final
+counts, under the same keys; each row then reads list entries.  The
+per-count functions and the pass call the same formula helpers
+(``_surprise``, ``_gain``, ``_full_past``, and ``closure._pointwise`` over
+the ``process`` log-pmf helpers), so a row equals those functions at the
+prefix counts bit for bit.
 
 The one-step gain and the hindsight marginal surprise of a last symbol x
 depend on a count vector c only through (x, c_x, t).  ``belief_tables``
@@ -42,15 +50,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .closure import one_step_pointwise_ntic
+from .closure import _pointwise, one_step_pointwise_ntic
 from .errors import InternalConsistencyError, WitnessFailedError
 from .process import (
+    CategoricalParam,
     CountVector,
     Hyperparameter,
+    _log_cardinality,
+    _log_lik,
     check_at_least,
     check_size,
     check_symbol,
     count,
+    log_factorials,
+    validate_trajectory,
 )
 from .special import digamma, log_gamma, shifted, shifted_column
 
@@ -60,6 +73,17 @@ _KL_SLACK = 1e-12
 
 #: Gap below which two one-step gains are considered indistinguishable.
 WITNESS_GAP = 1e-12
+
+#: The values of a ``trajectory_table`` row, in order.
+TRAJECTORY_COLUMNS = (
+    "pointwise_ntic",
+    "one_step_pointwise_ntic",
+    "hindsight_empirical_surprise",
+    "marginal_surprise_next",
+    "hindsight_marginal_surprise",
+    "one_step_info_gain",
+    "full_past_info_gain",
+)
 
 
 @dataclass(frozen=True)
@@ -225,19 +249,31 @@ def full_past_info_gain_from_count(xi0: Hyperparameter, c: CountVector) -> float
     columns = xi0.shifted_columns
     # Each column is read at m = 0 before m = n, so a sweep appends to it.
     log_gamma_prior = shifted(columns, log_gamma, total, den, 0)
-    log_g = shifted(columns, log_gamma, total, den, t) - log_gamma_prior + math.fsum(
+    log_gamma_total = shifted(columns, log_gamma, total, den, t) - log_gamma_prior
+    log_gamma_terms = [
         shifted(columns, log_gamma, num, den, 0) - shifted(columns, log_gamma, num, den, n)
         for num, n in zip(nums, c.counts)
-    )
-    expected_log_lik = 0.0
+    ]
+    expected_terms = []
     if t > 0:
         digamma_total = _digamma_after(xi0, total, t)
-        expected_log_lik = math.fsum(
+        expected_terms = [
             n * (_digamma_after(xi0, num, n) - digamma_total)
             for num, n in zip(nums, c.counts)
             if n > 0
-        )
-    return _clamp_kl(log_g + expected_log_lik)
+        ]
+    return _full_past(log_gamma_total, log_gamma_terms, expected_terms)
+
+
+def _full_past(log_gamma_total, log_gamma_terms, expected_terms):
+    """Full-past gain from its log-gamma and digamma terms.
+
+    ``log_gamma_total`` is log Gamma(|xi0| + t) - log Gamma(|xi0|),
+    ``log_gamma_terms`` the log Gamma(a_x) - log Gamma(a_x + c_x) and
+    ``expected_terms`` the c_x (psi(a_x + c_x) - psi(|xi0| + t)) of the
+    symbols with c_x > 0, each in symbol order.
+    """
+    return _clamp_kl(log_gamma_total + math.fsum(log_gamma_terms) + math.fsum(expected_terms))
 
 
 def full_past_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> float:
@@ -246,6 +282,87 @@ def full_past_info_gain(xi0: Hyperparameter, traj: Sequence[int]) -> float:
     Closed form in log-gamma and digamma; the empty trajectory gives exactly 0.
     """
     return full_past_info_gain_from_count(xi0, count(traj, xi0.size))
+
+
+def trajectory_table(
+    phi: CategoricalParam | None, xi0: Hyperparameter, traj: Sequence[int]
+) -> list[tuple]:
+    """The ``TRAJECTORY_COLUMNS`` at every prefix of ``traj``, one tuple per prefix.
+
+    The tuple of the first t symbols, with counts c and last symbol x,
+    holds ``pointwise_ntic_from_count(phi, c, x)`` (None without phi), the
+    one-step pointwise closure log(c_x / t) and its negation (the hindsight
+    empirical surprise), ``marginal_surprise_from_count`` at the next symbol
+    (None in the last row) and at x, ``one_step_info_gain_from_count(xi0,
+    c, x)`` and ``full_past_info_gain_from_count(xi0, c)``.  Each value
+    comes from the helpers those functions call, on the same floats in the
+    same order, so it equals theirs bit for bit, and the first prefix they
+    would refuse is refused with the same error; within a row the order is
+    the pointwise closure, the surprises, the one-step gain, the full-past
+    gain.
+
+    One pass: the sizes and the symbols are checked once, and every column
+    a row reads is built once, up to the final counts, under the
+    ``xi0.shifted_columns`` keys the per-count functions read:
+    log Gamma(a_x + n) for n = 0..c_x(T) and psi(a_x + n) for n = 1..c_x(T),
+    the same at |xi0| + t for t up to the length T, ``log_factorials(T)``
+    and log phi.  A row then reads list entries.
+    """
+    k = xi0.size
+    if phi is not None:
+        check_size("hyperparameter", k, "parameter", phi.size)
+    traj = validate_trajectory(traj, k)
+    length = len(traj)
+    final = [traj.count(x) for x in range(k)]
+    nums, den = xi0.over_common_denominator
+    total = sum(nums)
+    columns = xi0.shifted_columns
+    log_gammas = [shifted_column(columns, log_gamma, num, den, n) for num, n in zip(nums, final)]
+    log_gamma_totals = shifted_column(columns, log_gamma, total, den, length)
+    # Entry n - 1 is psi(a_x + n): digamma is read at counts n >= 1 only.
+    digammas = [
+        shifted_column(columns, digamma, num + den, den, n - 1) for num, n in zip(nums, final)
+    ]
+    digamma_totals = shifted_column(columns, digamma, total + den, den, length - 1)
+    if phi is not None:
+        log_phi = phi.log_probs
+        log_fact = log_factorials(length).tolist()
+
+    rows = []
+    counts = [0] * k
+    post_total = total
+    for t, x in enumerate(traj, start=1):
+        counts[x] += 1
+        n = counts[x]
+        post_total += den  # (|xi0| + t) * D
+        pointwise = None
+        if phi is not None:
+            log_count = _log_cardinality(counts, t, log_fact) + _log_lik(counts, log_phi)
+            pointwise = _pointwise(log_phi[x], log_count)
+        one_step = math.log(n / t)
+        surprise_next = None
+        if t < length:
+            y = traj[t]
+            surprise_next = _surprise(nums[y] + counts[y] * den, post_total)
+        digamma_total = digamma_totals[t - 1]
+        rows.append((
+            pointwise,
+            one_step,
+            -one_step,
+            surprise_next,
+            _surprise(nums[x] + n * den, post_total),
+            _gain(
+                _surprise(nums[x] + (n - 1) * den, post_total - den),
+                digammas[x][n - 1],
+                digamma_total,
+            ),
+            _full_past(
+                log_gamma_totals[t] - log_gamma_totals[0],
+                [column[0] - column[m] for column, m in zip(log_gammas, counts)],
+                [m * (column[m - 1] - digamma_total) for column, m in zip(digammas, counts) if m],
+            ),
+        ))
+    return rows
 
 
 def ntic_ig_divergence_witness(

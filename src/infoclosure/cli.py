@@ -6,7 +6,8 @@ curve        one row per time step with the requested expected quantities,
              exact while the row's last-count table fits under
              ``closure.TABLE_TERM_CAP``, Monte Carlo (plug-in pointwise
              estimates over sampled trajectories) beyond that
-trajectory   per-prefix table of the pointwise quantities of one trajectory
+trajectory   per-prefix table of the pointwise quantities of one trajectory,
+             from one pass over its prefixes (``bayes.trajectory_table``)
 witness      human-readable demonstration that identical one-step pointwise
              closure coexists with different information gains
 conformance  closed-form-vs-oracle grid with a JSON report
@@ -22,8 +23,12 @@ line's, and the last occurrence of a flag wins, so the command line
 overrides the file.
 
 Exit codes: 0 success, 1 usage/config error, 2 witness failure,
-3 conformance failure, 4 resource cap.  A ``conformance`` grid whose largest
-joint exceeds ``oracle.DEFAULT_JOINT_CAP`` exits 4 before any work.
+3 conformance or consistency failure, 4 resource cap.  Exit 3 is any
+``InternalConsistencyError`` or ``QuadratureError``, from any command: for
+instance ``trajectory --traj 0,1 --xi0 1e6,1e6`` exits 3 because rounding
+leaves its full-past gain below the KL clamp's slack (ROADMAP item 6).
+A ``conformance`` grid whose largest joint exceeds
+``oracle.DEFAULT_JOINT_CAP`` exits 4 before any work.
 
 Outputs are deterministic: a fixed configuration and seed reproduce files
 byte for byte, and CSV and JSON carry identical digit strings (floats are
@@ -62,11 +67,12 @@ import numpy as np
 
 from . import closure
 from .bayes import (
+    TRAJECTORY_COLUMNS,
     belief_tables,
-    full_past_info_gain_from_count,
     marginal_surprise_from_count,
     ntic_ig_divergence_witness,
     one_step_info_gain_from_count,
+    trajectory_table,
 )
 from .closure import expected_values, pointwise_ntic_from_count
 from .conformance import run_conformance
@@ -85,7 +91,6 @@ from .process import (
     check_at_least,
     check_size,
     sample_trajectories,
-    validate_trajectory,
 )
 
 # One registration however often ``main`` runs (see "Process exit" above).
@@ -113,16 +118,6 @@ CURVE_QUANTITIES = {
 
 #: The curve quantities read from the belief tables, so the ones that need xi0.
 _BELIEF_QUANTITIES = frozenset({"info_gain", "surprise"})
-
-TRAJECTORY_COLUMNS = (
-    "pointwise_ntic",
-    "one_step_pointwise_ntic",
-    "hindsight_empirical_surprise",
-    "marginal_surprise_next",
-    "hindsight_marginal_surprise",
-    "one_step_info_gain",
-    "full_past_info_gain",
-)
 
 _INV_LN2 = 1.0 / math.log(2.0)
 
@@ -431,31 +426,11 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         raise UsageError("trajectory needs a symbol sequence (flag --traj or config key 'traj')")
     if xi0 is None:
         raise UsageError("trajectory needs xi0 for the belief-side quantities")
-    _check_sizes(phi, xi0)
-    k = xi0.size
-    traj = validate_trajectory(traj, k)
-
-    rows = []
-    counts = [0] * k
-    for upto, last in enumerate(traj, start=1):
-        counts[last] += 1
-        c = CountVector(tuple(counts))
-        one_step = math.log(counts[last] / upto)
-        rows.append({
-            "t": upto,
-            "pointwise_ntic": (
-                pointwise_ntic_from_count(phi, c, last) if phi is not None else None
-            ),
-            "one_step_pointwise_ntic": one_step,
-            "hindsight_empirical_surprise": -one_step,
-            "marginal_surprise_next": (
-                marginal_surprise_from_count(xi0, c, traj[upto]) if upto < len(traj) else None
-            ),
-            "hindsight_marginal_surprise": marginal_surprise_from_count(xi0, c, last),
-            "one_step_info_gain": one_step_info_gain_from_count(xi0, c, last),
-            "full_past_info_gain": full_past_info_gain_from_count(xi0, c),
-        })
     columns = ["t", *TRAJECTORY_COLUMNS]
+    rows = [
+        dict(zip(columns, (t, *row)))
+        for t, row in enumerate(trajectory_table(phi, xi0, traj), start=1)
+    ]
     _emit(_render("trajectory", args, columns, rows), args.out)
     return EXIT_OK
 

@@ -253,6 +253,11 @@ def pointwise_ntic_from_count(phi: CategoricalParam, c: CountVector, x: int) -> 
     lp_count = count_log_prob(phi, c)
     lp_last = symbol_prob(phi, x)
     check_at_least("the last symbol's count", c.counts[x], 1)
+    return _pointwise(lp_last, lp_count)
+
+
+def _pointwise(lp_last: float, lp_count: float) -> float:
+    """log p(last symbol) - log p(count), refusing a trajectory of zero probability."""
     if lp_last == NEG_INFINITY or lp_count == NEG_INFINITY:
         raise DomainError("trajectory has zero probability under the given parameter")
     return lp_last - lp_count

@@ -106,6 +106,11 @@ class CategoricalParam:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
+    @cached_property
+    def log_probs(self) -> tuple[float, ...]:
+        """log phi_x per symbol, ``NEG_INFINITY`` for a zero-probability symbol."""
+        return tuple(math.log(p) if p > 0.0 else NEG_INFINITY for p in self.probs)
+
 
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -226,9 +231,7 @@ def symbol_prob(phi: CategoricalParam, x: int) -> float:
 
     Returns ``NEG_INFINITY`` for a zero-probability symbol.
     """
-    check_symbol(x, phi.size)
-    p = phi.probs[x]
-    return math.log(p) if p > 0.0 else NEG_INFINITY
+    return phi.log_probs[check_symbol(x, phi.size)]
 
 
 def trajectory_log_prob(phi: CategoricalParam, traj: Sequence[int]) -> float:
@@ -275,8 +278,13 @@ def inverse_count_cardinality(c: CountVector) -> int:
     This is the multinomial coefficient total! / prod(counts!), computed in
     arbitrary-precision integer arithmetic, so it never overflows.
     """
-    result = math.factorial(c.total)
-    for n in c.counts:
+    return _multinomial(c.counts, c.total)
+
+
+def _multinomial(counts: Sequence[int], total: int) -> int:
+    """total! / prod(counts!) for counts summing to total."""
+    result = math.factorial(total)
+    for n in counts:
         result //= math.factorial(n)
     return result
 
@@ -291,15 +299,38 @@ def log_count_cardinality(c: CountVector) -> float:
     own, as ``log_gamma(m + 1)``, the value the table would hold.
     """
     total = c.total
-    if total <= _EXACT_LOG_TOTAL:
-        return math.log(inverse_count_cardinality(c))
     table = _log_factorial_table
     if total <= 2 * len(table):
-        log_fact = log_factorials(total)
-        return float(log_fact[total]) - math.fsum(log_fact[n] for n in c.counts)
+        table = log_factorials(total)
+    return _log_cardinality(c.counts, total, table)
+
+
+def _log_cardinality(counts: Sequence[int], total: int, table) -> float:
+    """log(total! / prod(counts!)), reading log m! from ``table`` where it reaches.
+
+    The exact integer's log while total <= 64; above, ``table[m]`` for every
+    m it holds and ``log_gamma(m + 1)``, the value it would hold, past it.
+    """
+    if total <= _EXACT_LOG_TOTAL:
+        return math.log(_multinomial(counts, total))
+    if total < len(table):
+        return float(table[total]) - math.fsum(table[n] for n in counts)
     return log_gamma(total + 1.0) - math.fsum(
-        table[n] if n < len(table) else log_gamma(n + 1.0) for n in c.counts
+        table[n] if n < len(table) else log_gamma(n + 1.0) for n in counts
     )
+
+
+def _log_lik(counts: Sequence[int], log_probs: Sequence[float]) -> float:
+    """sum_x c_x log phi_x over the symbols with c_x > 0, in symbol order.
+
+    ``NEG_INFINITY`` once a positive count sits on a symbol whose log
+    probability is ``NEG_INFINITY``; adding a finite value keeps it there.
+    """
+    log_p = 0.0
+    for n, log_prob in zip(counts, log_probs):
+        if n:
+            log_p += n * log_prob
+    return log_p
 
 
 def count_log_prob(phi: CategoricalParam, c: CountVector) -> float:
@@ -310,14 +341,7 @@ def count_log_prob(phi: CategoricalParam, c: CountVector) -> float:
     positive count sits on a zero-probability symbol.
     """
     check_size("count vector", c.size, "parameter", phi.size)
-    log_p = 0.0
-    for n, p in zip(c.counts, phi.probs):
-        if n == 0:
-            continue
-        if p == 0.0:
-            return NEG_INFINITY
-        log_p += n * math.log(p)
-    return log_count_cardinality(c) + log_p
+    return log_count_cardinality(c) + _log_lik(c.counts, phi.log_probs)
 
 
 def count_space_size(k: int, t: int) -> int:

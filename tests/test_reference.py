@@ -10,6 +10,11 @@ and ``float(Fraction)`` alike, so every value must agree to the bit, which
 total of 64 where the multinomial coefficient switches from the exact
 integer to log-gamma.
 
+The ``trajectory`` command computes its rows in one pass over the
+prefixes, apart from the per-count functions; its rows must still equal
+those functions at every prefix's counts, bit for bit, and it must refuse
+with the error the first of them raises.
+
 The call counts pin the work: an ascending sweep of belief tables evaluates
 each digamma once, a trajectory row evaluates a fixed number of special
 functions, and a single call on a fresh prior evaluates no more points than
@@ -33,11 +38,14 @@ from infoclosure import (
     CountVector,
     Hyperparameter,
     full_past_info_gain_from_count,
+    hindsight_empirical_surprise,
     marginal_surprise_from_count,
     one_step_info_gain_from_count,
+    one_step_pointwise_ntic,
+    pointwise_ntic_from_count,
     posterior_predictive,
 )
-from infoclosure.errors import InternalConsistencyError
+from infoclosure.errors import DomainError, InternalConsistencyError
 from infoclosure.special import digamma, log_gamma
 
 # ---------------------------------------------------------------------------
@@ -274,6 +282,65 @@ class TestAgainstTheRationalReference:
             assert full_past_info_gain_from_count(xi0, c).hex() == ref_full_past(xi0, counts).hex()
             value = ref_one_step_gain(xi0.alpha[1], counts[1], xi0.total, sum(counts))
             assert one_step_info_gain_from_count(xi0, c, 1).hex() == value.hex()
+
+
+def count_function_rows(phi, xi0, traj):
+    """The rows from the library's per-count functions, as printed, or the
+    exit code and stderr line of the first refusal among them."""
+    rows, counts = [], [0] * xi0.size
+    try:
+        for t, x in enumerate(traj, start=1):
+            counts[x] += 1
+            c = CountVector(tuple(counts))
+            prefix = traj[:t]
+            rows.append([
+                pointwise_ntic_from_count(phi, c, x),
+                one_step_pointwise_ntic(prefix),
+                hindsight_empirical_surprise(prefix),
+                marginal_surprise_from_count(xi0, c, traj[t]) if t < len(traj) else None,
+                marginal_surprise_from_count(xi0, c, x),
+                one_step_info_gain_from_count(xi0, c, x),
+                full_past_info_gain_from_count(xi0, c),
+            ])
+    except DomainError as exc:
+        return 1, f"error: {exc}\n"
+    except InternalConsistencyError as exc:
+        return 3, f"consistency failure: {exc}\n"
+    return [[v if v != 0.0 else 0.0 for v in row] for row in rows]
+
+
+@st.composite
+def phi_with_zeros(draw, k):
+    """A data parameter whose components are often 0."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    return CategoricalParam(tuple(w / sum(weights) for w in weights))
+
+
+class TestAgainstTheCountFunctions:
+    @given(prior_and_trajectory(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_and_refusals(self, case, data):
+        xi0, traj = case
+        # As typed on the command line: every component a float.
+        xi0 = Hyperparameter(xi0.as_floats())
+        phi = data.draw(phi_with_zeros(xi0.size))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main([
+                "trajectory", "--format", "json",
+                "--phi", ",".join(map(repr, phi.probs)),
+                "--xi0", ",".join(map(repr, xi0.as_floats())),
+                "--traj", ",".join(map(str, traj)),
+            ])
+        expected = count_function_rows(phi, xi0, traj)
+        if isinstance(expected, tuple):
+            # The refusal of the first prefix the functions refuse, and no row.
+            assert (rc, err.getvalue(), out.getvalue()) == (*expected, "")
+            return
+        assert (rc, err.getvalue()) == (0, "")
+        document = json.loads(out.getvalue())
+        got = [[row[col] for col in cli.TRAJECTORY_COLUMNS] for row in document["rows"]]
+        assert [hexed(row) for row in got] == [hexed(row) for row in expected]
 
 
 # ---------------------------------------------------------------------------
