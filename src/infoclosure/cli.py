@@ -16,11 +16,11 @@ Every value has one parser: an argparse converter per kind of value
 (probabilities, concentrations, symbols, quantities; ``int`` for integers),
 shared by the four commands.  Symbols and the sizes of phi and xi0 are
 checked by the library's ``process.check_symbol`` and ``process.check_size``.
-``--config FILE`` of ``curve`` and ``trajectory`` names a JSON object whose keys are the command's own long flags without the dashes;
-each entry stands for ``--key=value``, a list for its comma-joined items and
-a number or string for its ``str``.  These flags go before the command
-line's, and the last occurrence of a flag wins, so the command line
-overrides the file.
+``--config FILE`` of ``curve`` and ``trajectory`` names a JSON object whose
+keys are the command's own long flags without the dashes; each entry stands
+for ``--key=value``, a list for its comma-joined items and a number or
+string for its ``str``.  These flags go before the command line's, and the
+last occurrence of a flag wins, so the command line overrides the file.
 
 Exit codes: 0 success, 1 usage/config error, 2 witness failure,
 3 conformance or consistency failure, 4 resource cap.  Exit 3 is any
@@ -229,22 +229,10 @@ class _CommandParser(_Parser):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _to_units(value: float, units: str) -> float:
     """The one place a value in nats is rescaled for output; folds -0.0 onto 0.0."""
     value = value * _INV_LN2 if units == "bits" else value
     return 0.0 if value == 0.0 else value
-
-
-def _scale_row(row: dict, units: str) -> dict:
-    return {key: (_to_units(v, units) if isinstance(v, float) else v) for key, v in row.items()}
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -304,21 +292,26 @@ def _json(value: object, newline: str = "\n") -> str:
 
 
 def _render(
-    command: str, args: argparse.Namespace, columns: Sequence[str], rows: list[dict]
+    command: str, args: argparse.Namespace, columns: Sequence[str], rows: list[Sequence]
 ) -> str:
-    rows = [_scale_row(row, args.units) for row in rows]
+    """Rows are value sequences in ``columns`` order; each float is scaled once.
+
+    ``csv`` writes a float as its ``repr`` and ``None`` as an empty field;
+    JSON writes ``None`` as ``null``.
+    """
+    units = args.units
+    rows = [[_to_units(v, units) if isinstance(v, float) else v for v in row] for row in rows]
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in columns])
+        writer.writerows(rows)
         return buffer.getvalue()
     document = {
         "command": command,
         "config": _echo(args),
         "columns": list(columns),
-        "rows": rows,
+        "rows": [dict(zip(columns, row)) for row in rows],
     }
     return _json(document) + "\n"
 
@@ -346,34 +339,29 @@ def _check_out(path: str | None) -> None:
         os.remove(path)
 
 
-def _check_sizes(phi: CategoricalParam | None, xi0: Hyperparameter | None) -> None:
-    if phi is not None and xi0 is not None:
-        check_size("hyperparameter", xi0.size, "parameter", phi.size)
-
-
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------
 
 
-def _curve_exact_row(phi: CategoricalParam, xi0, quantities: Sequence[str], t: int) -> dict:
+def _curve_exact_row(phi: CategoricalParam, xi0, quantities: Sequence[str], t: int) -> list:
     """One ``expected_values`` call; the belief tables are built only for a belief quantity."""
     beliefs = belief_tables(xi0, t) if _BELIEF_QUANTITIES.intersection(quantities) else None
-    return {"t": t, **expected_values(phi, t, quantities, beliefs), "method": "exact"}
+    return [t, *expected_values(phi, t, quantities, beliefs).values(), "exact"]
 
 
-def _curve_mc_row(args: argparse.Namespace, t: int) -> dict:
+def _curve_mc_row(args: argparse.Namespace, t: int) -> list:
     phi, xi0 = args.phi, args.xi0
     batch = sample_trajectories(phi, t, args.samples, [args.seed, t])
     # The (samples, K) counts in one pass: sample i's symbol x < K is bin i * K + x.
     bins = (batch + phi.size * np.arange(args.samples)[:, None]).ravel()
     counts = np.bincount(bins, minlength=args.samples * phi.size).reshape(-1, phi.size)
     samples = [(CountVector(tuple(c)), x) for c, x in zip(counts.tolist(), batch[:, -1].tolist())]
-    means = {
-        q: math.fsum(CURVE_QUANTITIES[q](phi, xi0, c, x) for c, x in samples) / args.samples
+    means = [
+        math.fsum(CURVE_QUANTITIES[q](phi, xi0, c, x) for c, x in samples) / args.samples
         for q in args.quantities
-    }
-    return {"t": t, **means, "method": "mc"}
+    ]
+    return [t, *means, "mc"]
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -384,7 +372,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise UsageError("curve needs tmax (flag --tmax or config key 'tmax')")
     check_at_least("tmax", t_max, 1)
     check_at_least("samples", args.samples, 0)
-    _check_sizes(phi, args.xi0)
+    if args.xi0 is not None:
+        check_size("hyperparameter", args.xi0.size, "parameter", phi.size)
     if _BELIEF_QUANTITIES.intersection(quantities) and args.xi0 is None:
         raise UsageError("quantities info_gain and surprise need xi0")
 
@@ -426,12 +415,8 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         raise UsageError("trajectory needs a symbol sequence (flag --traj or config key 'traj')")
     if xi0 is None:
         raise UsageError("trajectory needs xi0 for the belief-side quantities")
-    columns = ["t", *TRAJECTORY_COLUMNS]
-    rows = [
-        dict(zip(columns, (t, *row)))
-        for t, row in enumerate(trajectory_table(phi, xi0, traj), start=1)
-    ]
-    _emit(_render("trajectory", args, columns, rows), args.out)
+    rows = [(t, *row) for t, row in enumerate(trajectory_table(phi, xi0, traj), start=1)]
+    _emit(_render("trajectory", args, ["t", *TRAJECTORY_COLUMNS], rows), args.out)
     return EXIT_OK
 
 
@@ -445,7 +430,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     report = ntic_ig_divergence_witness(traj, xi0_a, xi0_b)
 
     def shown(value: float) -> str:
-        return f"{_fmt(_to_units(value, units))} {units}"
+        return f"{_to_units(value, units)!r} {units}"
 
     print(f"trajectory: {','.join(map(str, traj))}")
     print(f"one-step pointwise closure (shared): {shown(report.one_step_pointwise)}")

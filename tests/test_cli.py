@@ -72,25 +72,31 @@ class TestCurve:
         assert float(rows[1][1]) == pytest.approx(0.5, abs=1e-15)
 
     def test_csv_and_json_carry_identical_digits(self):
-        args = (
+        curve = (
             "curve", "--phi", "0.2,0.8", "--xi0", "0.5,2", "--tmax", "5",
             "--quantities", "ntic,one_step_ntic,info_gain,surprise",
         )
-        _, csv_text, _ = run_cli(*args)
-        _, json_text, _ = run_cli(*args, "--format", "json")
-        header, csv_rows = parse_csv(csv_text)
-        document = json.loads(json_text)
-        assert document["columns"] == header
-        assert len(document["rows"]) == len(csv_rows)
-        json_dump_digits = json_text  # digits as emitted
-        for csv_row, json_row in zip(csv_rows, document["rows"]):
-            for column, cell in zip(header, csv_row):
-                value = json_row[column]
-                if isinstance(value, float):
-                    assert repr(value) == cell  # identical digit strings
-                    assert cell in json_dump_digits
-                else:
-                    assert str(value) == cell
+        # No --phi: every pointwise_ntic is missing, and so is the last row's
+        # marginal_surprise_next.
+        trajectory = ("trajectory", "--traj", "0,1,1,0", "--xi0", "1,2.5")
+        for args in (curve, trajectory):
+            _, csv_text, _ = run_cli(*args)
+            _, json_text, _ = run_cli(*args, "--format", "json")
+            header, csv_rows = parse_csv(csv_text)
+            document = json.loads(json_text)
+            assert document["columns"] == header
+            assert len(document["rows"]) == len(csv_rows)
+            json_dump_digits = json_text  # digits as emitted
+            for csv_row, json_row in zip(csv_rows, document["rows"]):
+                for column, cell in zip(header, csv_row):
+                    value = json_row[column]
+                    if isinstance(value, float):
+                        assert repr(value) == cell  # identical digit strings
+                        assert cell in json_dump_digits
+                    elif value is None:
+                        assert cell == ""
+                    else:
+                        assert str(value) == cell
 
     def test_method_column_flags_monte_carlo(self, monkeypatch):
         monkeypatch.setattr(closure, "TABLE_TERM_CAP", 6)
@@ -346,9 +352,12 @@ class TestTrajectory:
     def test_negative_zero_prints_as_zero(self, monkeypatch, units, fmt):
         # At t = 1 the hindsight empirical surprise is -log(1/1) = -0.0.
         seen = []
-        scale_row = cli._scale_row
+        render = cli._render
         monkeypatch.setattr(
-            cli, "_scale_row", lambda row, units: seen.append(row) or scale_row(row, units)
+            cli,
+            "_render",
+            lambda command, args, columns, rows: seen.append(dict(zip(columns, rows[0])))
+            or render(command, args, columns, rows),
         )
         rc, out, _ = run_cli(
             "trajectory", "--traj", "0,1", "--xi0", "1,1", "--units", units, "--format", fmt

@@ -97,7 +97,9 @@ CASES = [
      SYMBOL),
     ("oracle_expected_log_predictive", lambda: oracle.oracle_expected_log_predictive(XI0, 5),
      SYMBOL),
-    ("cli_check_sizes", lambda: cli._check_sizes(PHI, XI0_3),
+    ("cli_check_sizes",
+     lambda: cli.cmd_curve(cli.build_parser().parse_args(
+         ["curve", "--phi", "0.5,0.5", "--xi0", "1,1,1", "--tmax", "1"])),
      "hyperparameter of size 3 does not match parameter of size 2"),
 ]
 

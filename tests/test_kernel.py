@@ -38,7 +38,8 @@ def compositions(k, t):
 
 
 def curve_row(phi, xi0, t):
-    return cli._curve_exact_row(phi, xi0, QUANTITIES, t)
+    """An exact curve row of all four quantities, keyed by its columns."""
+    return dict(zip(["t", *QUANTITIES, "method"], cli._curve_exact_row(phi, xi0, QUANTITIES, t)))
 
 
 def scalar_row(phi, xi0, t):
@@ -310,8 +311,11 @@ class TestOneMaskPerRow:
 
     def test_a_row_of_all_four_quantities_scans_one_table_once(self, monkeypatch):
         calls = self.spy(monkeypatch)
-        row = curve_row(CategoricalParam((0.2, 0.3, 0.5)), Hyperparameter((1, 2, 3)), 40)
-        assert list(row) == ["t", *QUANTITIES, "method"]
+        row = cli._curve_exact_row(
+            CategoricalParam((0.2, 0.3, 0.5)), Hyperparameter((1, 2, 3)), QUANTITIES, 40
+        )
+        assert row[0] == 40 and row[-1] == "exact"
+        assert [type(v) for v in row[1:-1]] == [float] * len(QUANTITIES)
         assert calls == {"tables": 1, "nonzero": 1, "beliefs": 1}
 
     def test_a_closure_row_builds_no_belief_tables(self, monkeypatch):

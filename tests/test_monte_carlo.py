@@ -60,13 +60,18 @@ def mc_row():
     args = argparse.Namespace(
         phi=PHI, xi0=XI0, samples=SAMPLES, seed=11, quantities=QUANTITIES
     )
-    row = cli._curve_mc_row(args, T)
+    row = keyed(cli._curve_mc_row(args, T))
     assert row["method"] == "mc"
     return row
 
 
+def keyed(row):
+    """A curve row of all four quantities, keyed by its columns."""
+    return dict(zip(["t", *QUANTITIES, "method"], row))
+
+
 def z_scores(mc_row, phi):
-    exact = cli._curve_exact_row(phi, XI0, QUANTITIES, T)
+    exact = keyed(cli._curve_exact_row(phi, XI0, QUANTITIES, T))
     errors = standard_errors(PHI, XI0, T, SAMPLES)
     return {q: (mc_row[q] - exact[q]) / errors[q] for q in QUANTITIES}
 

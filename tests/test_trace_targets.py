@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from infoclosure.cli import _render
 from infoclosure.oracle import build_joint
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -35,3 +36,9 @@ def test_build_joint_takes_what_the_tracer_reads():
     # ``spans._note_joint`` labels a traced build by its first three
     # positional arguments, read as (phi, xi0, t).
     assert list(inspect.signature(build_joint).parameters)[:3] == ["phi", "xi0", "t"]
+
+
+def test_render_takes_what_the_tracer_reads():
+    # ``spans._note_render`` reads the command from the first positional
+    # argument and counts the rows in the fourth.
+    assert list(inspect.signature(_render).parameters)[:4] == ["command", "args", "columns", "rows"]
