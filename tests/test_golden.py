@@ -3,7 +3,9 @@
 The expected files under ``golden/`` and the strings below are CLI outputs
 kept byte for byte: trajectory tables, a seeded Monte Carlo curve, an exact
 JSON curve (also read from a config file) and the README witness.  A
-refactor that changes any digit here changes what users read.
+refactor that changes any digit here changes what users read.  One file,
+``kernel_long_rows_hex.json``, holds library values instead: the
+``float.hex`` of ``closure.expected_values`` at rows too long to print here.
 
 The ``*_xi0_nondyadic_*`` files use the counter start 0.37,2.5,1.13, whose
 components have denominators up to 2**53, where the other files' start has
@@ -17,8 +19,10 @@ from pathlib import Path
 
 import pytest
 
+import infoclosure.bayes as bayes
 import infoclosure.cli as cli
 import infoclosure.closure as closure
+from infoclosure.process import CategoricalParam, Hyperparameter
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -176,6 +180,21 @@ def test_nondyadic_prior_exact_curve_bytes():
         "--quantities", "ntic,one_step_ntic,info_gain,surprise",
     )
     assert out == (GOLDEN / "curve_xi0_nondyadic_nats.csv").read_text(encoding="utf-8")
+
+
+def test_long_kernel_rows_bits():
+    """``expected_values`` at long rows, as ``float.hex``, pinned before any reordering of its sums.
+
+    The rows are K=2 at t = 1000, 1500 and 2000, where a table holds
+    thousands of nonzero weights, and K=3 at t = 300 with all five
+    quantities.  Like the exact curve above, these bits depend on which SIMD
+    kernels numpy dispatches for ``np.exp`` and ``np.log`` (ROADMAP item 2).
+    """
+    for row in json.loads((GOLDEN / "kernel_long_rows_hex.json").read_text(encoding="utf-8")):
+        phi, xi0, t = CategoricalParam(row["phi"]), row["xi0"], row["t"]
+        beliefs = bayes.belief_tables(Hyperparameter(xi0), t) if xi0 else None
+        values = closure.expected_values(phi, t, tuple(row["values"]), beliefs)
+        assert {q: v.hex() for q, v in values.items()} == row["values"], (row["phi"], t)
 
 
 def test_monte_carlo_curve_bytes(monkeypatch):
