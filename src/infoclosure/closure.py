@@ -27,13 +27,18 @@ count entropy is linear in the per-symbol log c_x!.  So every expected
 quantity at time t is a sum over one table, ``last_count_weights``:
 w[x, n] = p(last symbol = x, c_x = n), K binomial rows of length t + 1,
 where count space has O(t^(K-1)) points.  One kernel, ``expected_values``,
-takes the table's nonzero entries (x, n, w) once and reduces each requested
-quantity to one exactly rounded ``math.fsum`` of per-entry terms, so a value
-does not depend on the summation order.  Only the nonzero entries make
-terms: ``fsum`` ignores exact zeros, so leaving them out changes no bit, and
-most of a long row's binomial tail underflows to 0 (all but one entry when
-K = 1).  ``count_entropy``, ``ntic``, ``one_step_ntic``, the conformance
-closed forms and the CLI's exact curve rows are all one call of it.
+takes the table's nonzero entries (x, n, w) once, largest weight first, and
+reduces each requested quantity to one exactly rounded ``math.fsum`` of
+per-entry terms in that order.  ``fsum`` rounds the exact sum once, so its
+result does not depend on the order of its terms: the order changes no bit.
+It changes the work: ``fsum`` walks its list of partials (Shewchuk, 1997)
+for every term.  Terms that arrive largest first keep that list short; in
+n = 1..t order, the tiny binomial-tail terms on both sides of the peak make
+it long.  Only the nonzero entries make terms: ``fsum`` ignores exact zeros,
+so leaving them out changes no bit either, and most of a long row's
+binomial tail underflows to 0 (all but one entry when K = 1).
+``count_entropy``, ``ntic``, ``one_step_ntic``, the conformance closed forms
+and the CLI's exact curve rows are all one call of it.
 """
 
 from __future__ import annotations
@@ -105,8 +110,9 @@ def last_count_weights(phi: CategoricalParam, t: int) -> np.ndarray:
         for x, p in mixed:
             row = np.exp(log_binom + n * math.log(p) + (t - n) * math.log1p(-p))
             # The row sums to phi_x; rescaling it to that sum cancels the
-            # rounding of log (t - 1)!, which every entry shares.
-            weights[x, 1:] = row * (p / math.fsum(row[row != 0.0].tolist()))
+            # rounding of log (t - 1)!, which every entry shares.  The sum
+            # reads the row largest first, as ``expected_values`` does.
+            weights[x, 1:] = row * (p / math.fsum(np.sort(row[row != 0.0])[::-1].tolist()))
     return weights
 
 
@@ -149,9 +155,12 @@ def expected_values(
     """Expected quantities at time t >= 1 (nats), keyed in the order of ``quantities``.
 
     Builds ``last_count_weights(phi, t)`` and takes its nonzero entries
-    (x, n, w) once; each quantity is one ``math.fsum`` of terms at them:
+    (x, n, w) once, largest weight first; each quantity is one ``math.fsum``
+    of terms at them, in that order, which keeps ``fsum``'s partials short
+    and, since ``fsum`` rounds exactly, changes no bit:
 
-    * ``count_entropy``: the centred terms of ``_count_entropy_terms``;
+    * ``count_entropy``: the centred terms of ``_count_entropy_terms``, after
+      its per-symbol head terms;
     * ``ntic``: that sum minus ``symbol_entropy(phi)``;
     * ``one_step_ntic``: w * log(n / t);
     * ``info_gain`` and ``surprise``: w * gain[x, n] and w * surprise[x, n],
@@ -164,6 +173,11 @@ def expected_values(
     nonzero = weights != 0.0  # column 0 is all zero, so every n >= 1
     x, n = nonzero.nonzero()
     w = weights[nonzero]
+    # Largest weight first.  Only the nonzero weights are sorted, so a long
+    # row's underflowed tails cost no O(N log N); each row rises then falls,
+    # so the stable sort (timsort) merges 2K runs.
+    order = w.argsort(kind="stable")[::-1]
+    x, n, w = x[order], n[order], w[order]
     for table in beliefs or ():
         check_size("value table", table.shape, "weight table", weights.shape)
     terms = {

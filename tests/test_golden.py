@@ -183,7 +183,7 @@ def test_nondyadic_prior_exact_curve_bytes():
 
 
 def test_long_kernel_rows_bits():
-    """``expected_values`` at long rows, as ``float.hex``, pinned before any reordering of its sums.
+    """``expected_values`` at long rows, as ``float.hex``, recorded from sums in n = 1..t order.
 
     The rows are K=2 at t = 1000, 1500 and 2000, where a table holds
     thousands of nonzero weights, and K=3 at t = 300 with all five

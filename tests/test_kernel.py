@@ -9,11 +9,12 @@ mpmath at 50 digits, and share no array code with it.
 
 import itertools
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import infoclosure.bayes as bayes
@@ -283,18 +284,27 @@ class TestNonzeroTerms:
 class TestOneMaskPerRow:
     def spy(self, monkeypatch):
         """Count the tables built, their scans for nonzero entries and the belief tables."""
-        calls = {"tables": 0, "nonzero": 0, "beliefs": 0}
+        calls = {"tables": 0, "scans": 0, "beliefs": 0}
         table, beliefs = closure.last_count_weights, cli.belief_tables
 
         class ScannedTable(np.ndarray):
-            # A scan is ``nonzero`` (``np.nonzero`` calls it) or a ``!=`` mask,
-            # which comes back as a plain array, so its own ``nonzero`` is free.
+            # A scan of the whole table is an ``argsort`` (``np.argsort`` calls
+            # it too), a ``nonzero`` (``np.nonzero`` calls it) or a ``!=`` mask.
+            # Each comes back as a plain array, as do the entries read from the
+            # table, so work on what a scan found is free.
+            def __getitem__(self, key):
+                return np.asarray(super().__getitem__(key))
+
+            def argsort(self, *args, **kwargs):
+                calls["scans"] += 1
+                return np.asarray(super().argsort(*args, **kwargs))
+
             def nonzero(self):
-                calls["nonzero"] += 1
+                calls["scans"] += 1
                 return super().nonzero()
 
             def __ne__(self, other):
-                calls["nonzero"] += 1
+                calls["scans"] += 1
                 return np.asarray(super().__ne__(other))
 
         def counting_table(*args):
@@ -316,13 +326,108 @@ class TestOneMaskPerRow:
         )
         assert row[0] == 40 and row[-1] == "exact"
         assert [type(v) for v in row[1:-1]] == [float] * len(QUANTITIES)
-        assert calls == {"tables": 1, "nonzero": 1, "beliefs": 1}
+        assert calls == {"tables": 1, "scans": 1, "beliefs": 1}
 
     def test_a_closure_row_builds_no_belief_tables(self, monkeypatch):
         calls = self.spy(monkeypatch)
         phi = CategoricalParam((0.2, 0.3, 0.5))
         cli._curve_exact_row(phi, Hyperparameter((1, 2, 3)), ("ntic", "one_step_ntic"), 40)
-        assert calls == {"tables": 1, "nonzero": 1, "beliefs": 0}
+        assert calls == {"tables": 1, "scans": 1, "beliefs": 0}
+
+
+# Finite doubles over 2073 binades, subnormals to 2**999, with either sign and
+# both zeros.  A list holds at most 100 of them, so the sum of their
+# magnitudes stays below DBL_MAX: past it ``fsum`` raises on an intermediate
+# overflow that depends on the order ([1e308, 1e308, -1e308] raises,
+# [1e308, -1e308, 1e308] does not).
+KERNEL_DOUBLES = st.builds(
+    math.ldexp, st.integers(1 - 2**53, 2**53 - 1), st.integers(-1074, 946)
+) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def kernel_terms(draw):
+    """Up to 50 doubles, then the negations of some of them, so a sum may cancel to 0."""
+    terms = draw(st.lists(KERNEL_DOUBLES, max_size=50))
+    cancelled = draw(st.lists(st.sampled_from(terms), max_size=len(terms))) if terms else []
+    return terms + [-term for term in cancelled]
+
+
+def order_free(total, **options):
+    """A hypothesis check that ``total`` does not depend on the order of its terms."""
+
+    @settings(max_examples=100, deadline=None, database=None, **options)
+    @given(kernel_terms())
+    def check(terms):
+        largest_first = sorted(terms, key=abs, reverse=True)
+        assert total(terms).hex() == total(largest_first).hex()
+
+    return check
+
+
+class TestSumOrder:
+    """The row kernel hands ``math.fsum`` its terms largest weight first, with the same bits.
+
+    ``fsum`` rounds the exact sum once, so its result cannot depend on the
+    order of its terms; largest first keeps its list of partials short.
+    """
+
+    def test_fsum_is_order_free_over_the_kernels_domain(self):
+        order_free(math.fsum)()
+
+    def test_np_sum_is_not_order_free(self):
+        with pytest.raises(AssertionError):
+            order_free(lambda terms: float(np.sum(terms)), phases=[Phase.generate])()
+
+    def test_each_sum_reads_every_term_largest_weight_first(self, monkeypatch):
+        phi, t = CategoricalParam((0.2, 0.3, 0.5)), 1500
+        weights = closure.last_count_weights(phi, t)
+        # A gain of 1 makes each info_gain term its weight, and a surprise of
+        # the entry's flat index makes each surprise term name its entry.
+        index = np.arange(weights.size, dtype=float).reshape(weights.shape)
+        beliefs = (np.ones(weights.shape), index)
+        fsum, sums = math.fsum, []
+
+        def spy(terms):
+            sums.append(list(terms))
+            return fsum(sums[-1])
+
+        monkeypatch.setattr(math, "fsum", spy)
+        closure.expected_values(
+            phi, t, ("count_entropy", "one_step_ntic", "info_gain", "surprise"), beliefs
+        )
+        monkeypatch.undo()
+        *rescalings, entropy, one_step, w, coded = sums
+
+        shuffle = random.Random(26)
+        for terms in sums:
+            shuffled = shuffle.sample(terms, len(terms))
+            assert fsum(terms).hex() == fsum(terms[::-1]).hex() == fsum(shuffled).hex()
+        # Negative control: a plain running sum does depend on the order.
+        assert any(sum(terms) != sum(terms[::-1]) for terms in sums)
+
+        # Each row's rescaling sum is its weights, largest first.
+        assert len(rescalings) == phi.size
+        for terms in rescalings:
+            assert terms == sorted(terms, reverse=True)
+        # The table part of every quantity walks the nonzero entries once,
+        # largest weight first, in one order shared by all four sums.
+        entries = [round(term / weight) for term, weight in zip(coded, w)]
+        assert sorted(entries) == np.flatnonzero(weights).tolist()
+        assert w == weights.ravel()[entries].tolist()
+        assert w == sorted(w, reverse=True)
+        x, n = np.divmod(entries, t + 1)
+        log_fact = process.log_factorials(t)
+        centre = [t * num // den for num, den in map(float.as_integer_ratio, phi.probs)]
+        assert entropy[-len(w):] == [
+            t / n_i * w_i * (log_fact[n_i] - log_fact[m] - math.log(m + 1) * (n_i - m))
+            for x_i, n_i, w_i in zip(x.tolist(), n.tolist(), w)
+            for m in [centre[x_i]]
+        ]
+        # np.log's last bit depends on numpy's SIMD kernels, math.log's does not.
+        assert one_step == pytest.approx(
+            [w_i * math.log(n_i / t) for n_i, w_i in zip(n.tolist(), w)], rel=1e-15, abs=0.0
+        )
 
 
 class TestWorkPerRow:
