@@ -290,10 +290,14 @@ class TestOneMaskPerRow:
         class ScannedTable(np.ndarray):
             # A scan of the whole table is an ``argsort`` (``np.argsort`` calls
             # it too), a ``nonzero`` (``np.nonzero`` calls it) or a ``!=`` mask.
-            # Each comes back as a plain array, as do the entries read from the
-            # table, so work on what a scan found is free.
+            # Each comes back as a plain array, as do the entries a boolean
+            # mask reads, so work on what a scan found is free.  A slice stays
+            # a ScannedTable, so a scan of ``weights[:, 1:]`` is counted too.
             def __getitem__(self, key):
-                return np.asarray(super().__getitem__(key))
+                entries = super().__getitem__(key)
+                if isinstance(key, np.ndarray) and key.dtype == bool:
+                    return np.asarray(entries)
+                return entries
 
             def argsort(self, *args, **kwargs):
                 calls["scans"] += 1
